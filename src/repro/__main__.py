@@ -205,8 +205,10 @@ def cmd_run(args) -> int:
           f"(serial estimate {outcome.serial_time * 1e3:.3f} ms, "
           f"speedup {outcome.speedup:.2f}x)")
     if outcome.timings:
-        print(f"measured wall-clock: {outcome.max_rank_wall_s * 1e3:.3f} ms "
-              f"max-rank (launch {outcome.launch_wall_s * 1e3:.3f} ms)")
+        print(f"measured wall-clock: "
+              f"spec {outcome.spec_wall_s * 1e3:.3f} ms · "
+              f"launch {outcome.launch_wall_s * 1e3:.3f} ms · "
+              f"max-rank {outcome.max_rank_wall_s * 1e3:.3f} ms")
         for t in outcome.timings:
             comm = (
                 f", comm {t.comm_wall_s * 1e3:.3f} ms"

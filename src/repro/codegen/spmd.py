@@ -95,7 +95,9 @@ class ProcedureAnalysis:
 class CompiledModule:
     source: str
     fallback_sets: List[IntegerSet]
-    runtime_inplace: List[Tuple[str, object]]  # (flag name, InPlaceResult)
+    #: run-time in-place checks ``(flag name, result, layout)``, one per
+    #: distinct flag name read by the source (``rt.inplace[name]``).
+    runtime_inplace: List[Tuple[str, InPlaceResult, Layout]]
     #: per-(statement, loop-piece) kernel-qualification outcomes:
     #: ``(stmt_id, loop_var, status, reason)`` with status one of
     #: 'vectorized' | 'scalar' | 'empty' | 'piece-scalar'.  Travels with
@@ -139,7 +141,9 @@ class SpmdEmitter:
         self.analyses = analyses
         self.options = options
         self.fallback_sets: List[IntegerSet] = []
-        self.runtime_inplace: List[Tuple[str, object]] = []
+        #: name-keyed: loop splitting emits one event at several sites,
+        #: all reading the same flag.
+        self.runtime_inplace: Dict[str, Tuple[InPlaceResult, Layout]] = {}
         self._work_counter = itertools.count()
         self._kernel_counter = itertools.count()
         self.kernel_report: List[Tuple[int, str, str, str]] = []
@@ -163,7 +167,12 @@ class SpmdEmitter:
         writer.line(f"proc_{self.program.main.name}(rt)")
         writer.pop()
         return CompiledModule(
-            writer.text(), self.fallback_sets, self.runtime_inplace,
+            writer.text(),
+            self.fallback_sets,
+            [
+                (name, result, layout)
+                for name, (result, layout) in self.runtime_inplace.items()
+            ],
             self.kernel_report,
         )
 
@@ -999,8 +1008,8 @@ class _BodyEmitter:
         if result.answer is Answer.FALSE:
             return "False"
         name = f"_inplace_{event.tag}_{side}"
-        self.emitter.runtime_inplace.append(
-            (name, result, event.placed.event.layout)
+        self.emitter.runtime_inplace.setdefault(
+            name, (result, event.placed.event.layout)
         )
         return f"rt.inplace[{name!r}]"
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..cache.intern import presburger_key
+from ..cache.manager import caches
 from ..isets import (
     Answer,
     IntegerSet,
@@ -29,6 +31,13 @@ from ..isets import (
     is_singleton_1d,
     spans_full_range,
 )
+from ..isets.profile import timed
+
+# Grounded verdicts of the run-time half, keyed structurally (the check's
+# two sets + the binding of the symbols they mention): a launch asks the
+# same question again for every rank pair that differs only in symbols
+# the sets never read, and every re-launch asks all of them again.
+_RUNTIME_VERDICTS = caches.register("core.inplace.runtime", maxsize=4096)
 
 
 @dataclass
@@ -185,9 +194,30 @@ def evaluate_at_runtime(result: InPlaceResult, env) -> bool:
         return True
     if result.answer is Answer.FALSE:
         return False
-    binding = dict(env)
-    grounded_comm = result.comm_set.partial_evaluate(binding)
-    grounded_bounds = result.array_bounds.partial_evaluate(binding)
+    comm_set, array_bounds = result.comm_set, result.array_bounds
+    symbols = set(comm_set.parameters()) | set(array_bounds.parameters())
+    binding = {name: env[name] for name in sorted(symbols) if name in env}
+    key = (
+        presburger_key(comm_set),
+        presburger_key(array_bounds),
+        tuple(binding.items()),
+    )
+    return caches.memoize(
+        _RUNTIME_VERDICTS,
+        key,
+        lambda: timed(
+            "inplace.evaluate_at_runtime",
+            lambda: _grounded_verdict(comm_set, array_bounds, binding),
+            len(comm_set.conjuncts),
+        ),
+    )
+
+
+def _grounded_verdict(
+    comm_set: IntegerSet, array_bounds: IntegerSet, binding
+) -> bool:
+    grounded_comm = comm_set.partial_evaluate(binding)
+    grounded_bounds = array_bounds.partial_evaluate(binding)
     if len(grounded_comm.conjuncts) > 1:
         rerun = analyze_contiguity_per_message(
             grounded_comm.simplify(), grounded_bounds

@@ -30,12 +30,29 @@ shipped to worker processes unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...cache.manager import LRUCache
 from ..machine import RankResult
 from ..options import RuntimeOptions
+
+# Module code objects of generated node programs, one per distinct
+# source.  Code objects are immutable, so every launch (and every rank)
+# execs the shared object into a namespace of its own; only the
+# ``compile()`` — 150 ms for a 550 kB program — is paid once.  Not a
+# memo cache of the compiler (``caches.disabled()`` and ``reset_caches``
+# leave it alone): it holds nothing but what ``compile()`` would return.
+_NODE_CODE = LRUCache("runtime.node_code", maxsize=16)
+
+
+def node_code(source: str) -> CodeType:
+    """The compiled module of a generated node program (shared, cached)."""
+    return _NODE_CODE.memoize(
+        source, lambda: compile(source, "<spmd>", "exec")
+    )
 
 
 @dataclass
@@ -111,9 +128,10 @@ class ExecutionBackend:
 
     @staticmethod
     def load_node_main(source: str) -> Callable:
-        """Exec the generated module and return its ``node_main``."""
+        """Exec the generated module into a fresh namespace and return
+        its ``node_main``."""
         namespace: Dict[str, object] = {}
-        exec(compile(source, "<spmd>", "exec"), namespace)
+        exec(node_code(source), namespace)
         return namespace["node_main"]
 
     @staticmethod

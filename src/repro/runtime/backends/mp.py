@@ -71,6 +71,7 @@ from .base import (
     LaunchSpec,
     RankBindings,
     RankTiming,
+    node_code,
 )
 from ..noderuntime import NodeRuntimeBase
 
@@ -607,6 +608,10 @@ class MultiprocessBackend(ExecutionBackend):
         procs = []
         launch_start = time.perf_counter()
         try:
+            if ctx.get_start_method() == "fork":
+                # Forked ranks inherit the compiled module; spawned ones
+                # start from a fresh import and compile for themselves.
+                node_code(spec.source)
             procs = [
                 ctx.Process(
                     target=_worker_main,

@@ -353,6 +353,9 @@ class RunOutcome:
     timings: List[RankTiming] = field(default_factory=list)
     #: parent-side elapsed wall-clock for the whole launch.
     launch_wall_s: float = 0.0
+    #: parent-side wall-clock of :func:`build_launch_spec` (bindings and
+    #: run-time in-place verdicts) — what a launch costs before it starts.
+    spec_wall_s: float = 0.0
     #: per-cache memoization counters of the compile that produced this
     #: run's program (mirrors ``compiled.phases.cache_stats``).
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -544,7 +547,9 @@ def run_compiled(
     )
     backends = [backend_obj] + [resolve_backend(name) for name in chain]
     policy = retry_policy or RetryPolicy(max_attempts=1)
+    spec_start = time.perf_counter()
     spec = build_launch_spec(compiled, params, nprocs, options)
+    spec_wall_s = time.perf_counter() - spec_start
     if any(b.name == "taskgraph" for b in backends):
         # Pay the set-engine cost only when a planner will consume it.
         spec.dep_hints = independent_arrays(compiled)
@@ -573,6 +578,7 @@ def run_compiled(
         backend=backend_obj.name,
         timings=launch.timings,
         launch_wall_s=launch.wall_s,
+        spec_wall_s=spec_wall_s,
         cache_stats=dict(compiled.phases.cache_stats),
         attempts=attempts,
     )

@@ -87,7 +87,6 @@ def trivial_plan(nprocs: int, note: str) -> TaskPlan:
         template_count=1,
         scc_count=1,
         scc_members=[(0,)],
-        needs_rank_parallel_pool=True,
         notes=[note],
     )
 
@@ -941,21 +940,13 @@ def _build_segmented_plan(
             senders.setdefault(key, []).append(unit.uid)
         elif unit.kind == "recv":
             receivers.setdefault(key, []).append(unit.uid)
-    gated: Set[int] = set()
     for key, recv_uids in receivers.items():
         send_uids = senders.get(key, ())
         for recv_uid in recv_uids:
-            if send_uids:
-                gated.add(recv_uid)
             for send_uid in send_uids:
                 if units[send_uid].rank != units[recv_uid].rank:
                     edges.add((send_uid, recv_uid))
 
-    needs_pool = any(
-        unit.kind in ("collective", "mixed", "call")
-        or (unit.kind == "recv" and unit.uid not in gated)
-        for unit in units
-    )
     return TaskPlan(
         nprocs=nprocs,
         units=units,
@@ -965,6 +956,5 @@ def _build_segmented_plan(
         scc_members=[tuple(m) for m in members],
         cycles_collapsed=cycles,
         loops_unrolled=loops_unrolled,
-        needs_rank_parallel_pool=needs_pool,
         notes=notes,
     )

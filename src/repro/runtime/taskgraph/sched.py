@@ -113,18 +113,12 @@ class TaskScheduler:
         self.n_workers = max(1, workers)
         self.run_timeout_s = run_timeout_s
 
+        # Plan invariants are computed at plan build (plan.py); only the
+        # in-degree counters are per-launch state.
         self._succs = plan.successors()
         self._indeg = plan.indegrees()
-        self._comm_dist = self._distance_to_comm()
-        units = plan.units
-        send_tags = {
-            (u.tag, u.instance) for u in units if u.kind == "send" and u.tag
-        }
-        self._gated = {
-            u.uid
-            for u in units
-            if u.kind == "recv" and u.tag and (u.tag, u.instance) in send_tags
-        }
+        self._comm_dist = plan.comm_distance
+        self._gated = plan.gated
 
         self._cv = threading.Condition()
         self._deques: List[deque] = [deque() for _ in range(self.n_workers)]
@@ -135,44 +129,13 @@ class TaskScheduler:
         self._executed = 0
         self._ready_count = 0
         self._errors: List[Optional[BaseException]] = [None] * plan.nprocs
-        self._durations = [0.0] * len(units)
+        self._durations = [0.0] * len(plan.units)
         self._rank_busy_s = [0.0] * plan.nprocs
         self._steals = 0
         self._max_ready = 0
         self._parked_peak = 0
 
     # -- readiness ----------------------------------------------------------
-
-    def _distance_to_comm(self) -> List[int]:
-        """Edge distance from each unit to its nearest downstream send.
-
-        Sends start latency clocks: every cycle a message spends in
-        flight while the scheduler still has local compute queued is a
-        cycle of latency that could have been hidden.  Ready units are
-        therefore pushed so that the unit closest to unblocking a send
-        (or a receive) pops first, and bulk compute fills the flight
-        time.  Computed once per launch by dynamic programming over a
-        reverse topological order of the instance DAG.
-        """
-        units = self.plan.units
-        n = len(units)
-        infinity = n + 1
-        indeg = list(self._indeg)
-        order: List[int] = [u for u in range(n) if indeg[u] == 0]
-        for uid in order:  # Kahn; `order` grows while iterating
-            for succ in self._succs[uid]:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    order.append(succ)
-        dist = [infinity] * n
-        for uid in reversed(order):
-            if units[uid].kind in ("send", "recv", "mixed", "collective"):
-                dist[uid] = 0
-                continue
-            for succ in self._succs[uid]:
-                if dist[succ] + 1 < dist[uid]:
-                    dist[uid] = dist[succ] + 1
-        return dist
 
     def _enqueue(self, uid: int, worker: int) -> None:
         # caller holds self._cv
@@ -380,38 +343,27 @@ class TaskScheduler:
         return list(self._rank_busy_s)
 
     def _stats(self) -> SchedulerStats:
-        # Critical path by dynamic programming in a Kahn topological
-        # order (uids are rank-major, so numeric order is *not*
-        # topological across cross-rank edges).
-        n = len(self.plan.units)
-        indeg = self.plan.indegrees()
-        frontier = [uid for uid in range(n) if indeg[uid] == 0]
-        cp_units = [1] * n
-        cp_s = list(self._durations)
-        order: List[int] = []
-        while frontier:
-            uid = frontier.pop()
-            order.append(uid)
+        # Only the measured critical path depends on this launch: one
+        # pass over the plan's topological order.
+        durations = self._durations
+        cp_s = list(durations)
+        for uid in self.plan.topo_order:
+            reach = cp_s[uid]
             for succ in self._succs[uid]:
-                cp_units[succ] = max(cp_units[succ], cp_units[uid] + 1)
-                cp_s[succ] = max(
-                    cp_s[succ], cp_s[uid] + self._durations[succ]
-                )
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    frontier.append(succ)
+                if reach + durations[succ] > cp_s[succ]:
+                    cp_s[succ] = reach + durations[succ]
         per_scc: Dict[int, float] = {}
-        for unit, duration in zip(self.plan.units, self._durations):
+        for unit, duration in zip(self.plan.units, durations):
             per_scc[unit.scc] = per_scc.get(unit.scc, 0.0) + duration
         return SchedulerStats(
             workers=self.n_workers,
-            units=n,
+            units=len(self.plan.units),
             executed=self._executed,
             steals=self._steals,
             max_ready_depth=self._max_ready,
             parked_peak=self._parked_peak,
-            critical_path_units=max(cp_units, default=0) if order else 0,
-            critical_path_s=max(cp_s, default=0.0) if order else 0.0,
+            critical_path_units=self.plan.critical_path_units,
+            critical_path_s=max(cp_s, default=0.0),
             per_scc_s=per_scc,
             plan=self.plan.stats(),
             topo_hash=self.plan.topo_hash(),

@@ -1,6 +1,10 @@
 """Unit tests for Python-source emission and generated-module structure."""
 
-from repro import CompilerOptions, compile_program
+import re
+
+import pytest
+
+from repro import CompilerOptions, compile_program, programs
 from repro.codegen.pyexpr import (
     SourceWriter,
     emit_conjunct_guard,
@@ -142,3 +146,21 @@ end
         ).replace("  do i = 2", "  scalar s\n  do i = 2")
         compiled = compile_program(src)
         assert "rt.allreduce('max'" in compiled.source
+
+
+def _program_source(name: str) -> str:
+    if name == "sp_like":  # the reduced variant: seconds, same regime
+        return programs.sp_like(routines=2, nests_per_routine=2)
+    return getattr(programs, name)()
+
+
+@pytest.mark.parametrize("name", programs.__all__)
+def test_runtime_inplace_checks_registered_once(name):
+    """Loop splitting emits one event at several sites; each run-time
+    in-place check is still registered once, under the flag name the
+    source reads (widehalo used to register 46 entries for 2 names)."""
+    compiled = compile_program(_program_source(name))
+    names = [entry[0] for entry in compiled.module.runtime_inplace]
+    assert len(names) == len(set(names))
+    read = re.findall(r"rt\.inplace\['([^']+)'\]", compiled.source)
+    assert set(names) == set(read)

@@ -5,7 +5,15 @@ the serial interpreter (the strongest end-to-end check we have)."""
 import pytest
 
 from repro import CompilerOptions, compile_program, run_compiled
-from repro.programs import erlebacher, gauss, jacobi, sp_like, tomcatv
+from repro.programs import (
+    erlebacher,
+    gauss,
+    jacobi,
+    sp_like,
+    tomcatv,
+    widehalo,
+)
+from repro.runtime.harness import ValidationError
 
 
 def _check(src, params, procs, options=None):
@@ -38,6 +46,16 @@ class TestBenchmarkPrograms:
     def test_sp_like_validates(self):
         src = sp_like(routines=2, nests_per_routine=1)
         _check(src, {"n": 6, "niter": 1}, (2, 4))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValidationError,
+        reason="known miscompile: each rank's my_p_0 is derived from "
+        "template t's block size and reused for template s, so with "
+        "m != n rank 1 initialises the wrong rows of w (every backend)",
+    )
+    def test_widehalo_validates_with_unequal_templates(self):
+        _check(widehalo(), {"n": 16, "m": 64, "niter": 1}, (4,))
 
 
 class TestDistributions:

@@ -8,6 +8,7 @@ compile.
 
 import typing
 
+import numpy as np
 import pytest
 
 from repro.runtime import RunStatistics, Trace
@@ -142,6 +143,45 @@ class TestEveryBackend:
     def test_rank_crash_surfaces(self, backend):
         with pytest.raises(CommunicationError):
             get_backend(backend).launch(_spec(CRASH, 2))
+
+
+RELAUNCH = """
+LAUNCHES = 0
+
+def node_main(rt):
+    global LAUNCHES
+    if rt.rank == 0:
+        LAUNCHES += 1
+        rt.send(1, "x", [0.1 * (k + 1) for k in range(4)])
+    else:
+        _, vals = rt.recv(0, "x")  # ordered after rank 0's write
+        rt.arrays["a"][:] = np.asarray(vals) / 3.0
+    rt.scalars["out"] = float(LAUNCHES)
+"""
+
+
+@pytest.mark.parametrize("backend", BACKENDS + ("taskgraph",))
+def test_back_to_back_launches_share_code_not_state(backend):
+    """The node module is compiled once and exec'd into a fresh
+    namespace per launch (per rank on ``mp``): a second launch computes
+    the same bits and sees none of the first one's globals."""
+    spec = _spec(RELAUNCH, 2)
+    for bindings in spec.bindings:
+        bindings.array_shapes["a"] = (4,)
+        bindings.array_lbounds["a"] = (1,)
+    first, second = (get_backend(backend).launch(spec) for _ in range(2))
+    for launch in (first, second):
+        assert launch.results[0].scalars["out"] == 1.0
+        if backend == "mp":  # a rank is a process: nothing is shared
+            assert launch.results[1].scalars["out"] == 0.0
+    assert first.results[1].arrays["a"].any()
+    for got, want in zip(second.results, first.results):
+        assert np.array_equal(got.arrays["a"], want.arrays["a"])
+    traffic = [
+        RunStatistics.from_traces([r.trace for r in launch.results])
+        for launch in (first, second)
+    ]
+    assert traffic[0].total_bytes == traffic[1].total_bytes > 0
 
 
 class TestSequentialDeterminism:

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro import compile_program, programs
+from repro.cache.manager import caches, reset_caches
 from repro.hpf import DataMapping
+from repro.isets.profile import profiled
 from repro.lang import parse_program
 from repro.runtime.harness import (
+    _inplace_for_rank,
+    build_launch_spec,
     eval_lang_expr,
     evaluate_bindings,
     owner_coordinate,
@@ -138,3 +143,58 @@ end
 def test_rank_of_coords():
     assert rank_of_coords([2, 4], [1, 3]) == 7
     assert rank_of_coords([3], [2]) == 2
+
+
+# ---------------------------------------------------------------------------
+# launch budget: each run-time in-place check is evaluated once
+# ---------------------------------------------------------------------------
+
+LAUNCHABLE = {
+    "jacobi": {"n": 16, "niter": 1},
+    "tomcatv": {"n": 16, "niter": 1},
+    "widehalo": {"n": 16, "m": 16, "niter": 1},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LAUNCHABLE))
+def launchable(request):
+    source = getattr(programs, request.param)()
+    return compile_program(source), LAUNCHABLE[request.param]
+
+
+def _calls(profiler, op):
+    stats = profiler.ops.get(op)
+    return stats.calls if stats else 0
+
+
+@pytest.mark.parametrize("nprocs", (2, 4))
+def test_launch_spec_evaluates_each_inplace_check_once(launchable, nprocs):
+    compiled, params = launchable
+    checks = compiled.module.runtime_inplace
+    assert checks, "program has no run-time in-place checks to budget"
+    reset_caches()
+
+    with profiled() as first:
+        spec = build_launch_spec(compiled, params, nprocs)
+    budget = len(checks) * nprocs * (nprocs - 1)
+    assert 0 < _calls(first, "inplace.evaluate_at_runtime") <= budget
+
+    with profiled() as second:
+        again = build_launch_spec(compiled, params, nprocs)
+    assert _calls(second, "inplace.evaluate_at_runtime") == 0
+    assert _calls(second, "is_empty_conjunct") == 0
+    assert caches["core.inplace.runtime"].hits > 0
+
+    flags = [b.inplace for b in spec.bindings]
+    assert [b.inplace for b in again.bindings] == flags
+    with caches.disabled():  # the memo is bypassed: a direct evaluation
+        direct = [
+            {
+                name: _inplace_for_rank(result, layout, b.env, nprocs, b.rank)
+                for name, result, layout in checks
+            }
+            for b in spec.bindings
+        ]
+        uncached = build_launch_spec(compiled, params, nprocs)
+    assert flags == direct
+    assert [b.inplace for b in uncached.bindings] == direct

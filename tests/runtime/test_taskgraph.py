@@ -228,6 +228,49 @@ class TestPlanConstruction:
         ]
         assert first.edges == second.edges
 
+    def test_build_time_invariants_match_the_edge_list(self, gauss_spec):
+        """What the scheduler reads off the plan (instead of recomputing
+        per launch) agrees with the edge list it was derived from."""
+        _compiled, spec = gauss_spec
+        plan = build_task_plan(spec.source, spec.bindings)
+        n = len(plan.units)
+        succs = plan.successors()
+        assert sorted(
+            (u, v) for u in range(n) for v in succs[u]
+        ) == sorted(plan.edges)
+        indeg = plan.indegrees()
+        assert sum(indeg) == len(plan.edges)
+        indeg[0] += 1  # a caller's copy to count down, not the plan's
+        assert plan.indegrees()[0] == indeg[0] - 1
+        position = {uid: k for k, uid in enumerate(plan.topo_order)}
+        assert sorted(position) == list(range(n))
+        assert all(position[u] < position[v] for u, v in plan.edges)
+        renumbered = [
+            [position[v] for v in succs[uid]] for uid in plan.topo_order
+        ]
+        assert plan.critical_path_units == longest_path(
+            n, renumbered, [1.0] * n
+        )
+        comm = ("send", "recv", "mixed", "collective")
+        for unit in plan.units:
+            dist = plan.comm_distance[unit.uid]
+            if unit.kind in comm:
+                assert dist == 0
+            elif succs[unit.uid]:
+                nearest = min(plan.comm_distance[v] for v in succs[unit.uid])
+                assert dist == min(nearest + 1, n + 1)
+            else:
+                assert dist == n + 1
+        sends = {
+            (u.tag, u.instance) for u in plan.units if u.kind == "send"
+        }
+        assert plan.gated == {
+            u.uid for u in plan.units
+            if u.kind == "recv" and (u.tag, u.instance) in sends
+        }
+        assert plan.gated and not plan.needs_rank_parallel_pool
+        assert trivial_plan(2, "why").needs_rank_parallel_pool
+
     def test_scc_condensation_collapses_comm_cycles(self, gauss_spec):
         _compiled, spec = gauss_spec
         plan = build_task_plan(spec.source, spec.bindings)
@@ -324,6 +367,33 @@ class TestExecution:
             compiled, params={"n": 11}, nprocs=2, backend="threads",
         )
         assert plain.stats.scheduler is None
+
+    def test_back_to_back_launches_of_one_artifact(self, gauss_spec):
+        """A re-launch reuses the cached plan and code objects: same
+        graph as a freshly built plan, same bits, same traffic."""
+        compiled, spec = gauss_spec
+        spec.dep_hints = independent_arrays(compiled)
+        backend = get_backend("taskgraph")
+        first, second = backend.launch(spec), backend.launch(spec)
+        fresh = build_task_plan(
+            spec.source, spec.bindings, dep_hints=spec.dep_hints
+        )
+        assert (
+            first.scheduler["topo_hash"]
+            == second.scheduler["topo_hash"]
+            == fresh.topo_hash()
+        )
+        assert second.scheduler["executed"] == len(fresh.units)
+        assert (
+            second.scheduler["critical_path_units"]
+            == fresh.critical_path_units
+        )
+        for got, want in zip(second.results, first.results):
+            assert got.arrays["a"].any()
+            for name, array in want.arrays.items():
+                assert np.array_equal(got.arrays[name], array)
+            assert got.trace.bytes_sent == want.trace.bytes_sent
+        assert sum(r.trace.bytes_sent for r in first.results) > 0
 
 
 # ---------------------------------------------------------------------------
