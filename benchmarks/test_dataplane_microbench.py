@@ -7,12 +7,6 @@ per-element path it replaced:
   versus a faithful re-creation of the old element-list path (Python
   loop gathering indices into a list, Python loop scattering it back).
   The vectorized plane must be at least 3x faster.
-* **end-to-end mp wall-clock** — the same program compiled twice, with
-  ``CompilerOptions(dataplane="sections")`` (default) and
-  ``dataplane="elements"``, run on the multiprocess backend where the
-  data movement is physically real.  Covers the standard Jacobi
-  kernel, a wide-halo Jacobi variant whose communication dominates,
-  and TOMCATV.
 * **validation** — every compiled configuration is checked
   element-by-element against the serial interpreter on all three
   backends.
@@ -23,14 +17,12 @@ motivated the descriptor plane.
 """
 
 import itertools
-import statistics
 import time
 
 import numpy as np
 import pytest
 
-from repro import CompilerOptions, compile_program, run_compiled
-from repro.programs import tomcatv
+from repro import compile_program, run_compiled
 from repro.runtime.sections import (
     message_count,
     pack_sections,
@@ -196,84 +188,6 @@ def test_pack_unpack_throughput(benchmark):
             f"{label}: vectorized plane only {row['speedup']:.2f}x faster"
         )
     _record("pack_unpack_throughput", {"grid": [n, n], "results": rows})
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: sections vs elements on the multiprocess backend
-# ---------------------------------------------------------------------------
-
-END_TO_END = {
-    "jacobi1d": (JACOBI_STYLE, {"n": 512, "niter": 4}),
-    "jacobi_wide": (JACOBI_WIDE, {"n": 512, "niter": 6}),
-    "tomcatv": (tomcatv(), {"n": 64, "niter": 2}),
-}
-
-
-@pytest.mark.benchmark(group="dataplane")
-def test_mp_wallclock_sections_vs_elements(benchmark):
-    def run():
-        rows = {}
-        for name, (source, params) in END_TO_END.items():
-            compiled = {
-                plane: compile_program(
-                    source, CompilerOptions(dataplane=plane)
-                )
-                for plane in ("sections", "elements")
-            }
-            pair = {}
-            # Interleave repetitions: mp launch times are noisy enough
-            # that back-to-back best-of runs can order two equal planes
-            # either way; the median of interleaved runs is stable.
-            walls = {plane: [] for plane in compiled}
-            outcomes = {}
-            for _ in range(5):
-                for plane, prog in compiled.items():
-                    outcome = run_compiled(
-                        prog, params=params, nprocs=4,
-                        backend="mp", validate=False,
-                    )
-                    walls[plane].append(outcome.max_rank_wall_s)
-                    outcomes[plane] = outcome
-            for plane, outcome in outcomes.items():
-                pair[plane] = {
-                    "wall_s": statistics.median(walls[plane]),
-                    "messages": outcome.stats.total_messages,
-                    "bytes": outcome.stats.total_bytes,
-                    "bytes_copied": outcome.stats.total_bytes_copied,
-                    "bytes_viewed": outcome.stats.total_bytes_viewed,
-                }
-            pair["speedup"] = (
-                pair["elements"]["wall_s"] / pair["sections"]["wall_s"]
-            )
-            rows[name] = pair
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, pair in rows.items():
-        emit(
-            f"mp end-to-end {name:12s}: sections "
-            f"{pair['sections']['wall_s'] * 1e3:8.2f} ms   elements "
-            f"{pair['elements']['wall_s'] * 1e3:8.2f} ms   "
-            f"({pair['speedup']:.2f}x)"
-        )
-        # The model-level traffic is identical; only the plane differs.
-        assert (
-            pair["sections"]["bytes"] == pair["elements"]["bytes"]
-        ), f"{name}: data planes moved different byte totals"
-        # Descriptor sends on mp are zero-copy: viewed traffic appears.
-        assert pair["sections"]["bytes_viewed"] > 0
-    # On the comm-dominated kernel the vectorized plane must win.
-    assert rows["jacobi_wide"]["speedup"] > 1.0, (
-        "sections plane slower than element lists on wide-halo Jacobi"
-    )
-    _record(
-        "mp_sections_vs_elements",
-        {
-            "nprocs": 4,
-            "params": {k: v[1] for k, v in END_TO_END.items()},
-            "results": rows,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

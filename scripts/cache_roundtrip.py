@@ -43,7 +43,6 @@ Usage::
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 import time
@@ -51,6 +50,7 @@ import time
 from repro import compile_program
 from repro.cache.manager import reset_caches
 from repro.core.options import CompilerOptions
+from repro.isets.bounds import presolve_disabled
 from repro.programs import (
     erlebacher,
     gauss,
@@ -140,7 +140,7 @@ def check_benchmark(name: str, source: str, cache_dir: str) -> None:
     pinned sha.
 
     The last arm is the presolve byte-identity A/B (DESIGN §14): with
-    ``REPRO_PRESOLVE=0`` *and* every cache bypassed, the compiler must
+    ``presolve_disabled()`` *and* every cache bypassed, the compiler must
     emit the same bytes as the presolve-accelerated path — the presolve
     engine's verdicts may only short-circuit decisions, never change a
     representation.
@@ -167,13 +167,10 @@ def check_benchmark(name: str, source: str, cache_dir: str) -> None:
         raise AssertionError(
             f"{name}: caching=off emitted a different program"
         )
-    os.environ["REPRO_PRESOLVE"] = "0"
-    try:
+    with presolve_disabled():
         t0 = time.perf_counter()
         no_presolve = compile_program(source, CompilerOptions(caching="off"))
         np_s = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_PRESOLVE"]
     if no_presolve.source != cold.source:
         raise AssertionError(
             f"{name}: presolve-off compile emitted a different program — "

@@ -140,15 +140,7 @@ class CompileCache:
         """
         path = self.path_for(fingerprint)
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("artifact payload is not a dict")
-            if payload.get("format") != FORMAT_VERSION:
-                raise ValueError("artifact format version mismatch")
-            if payload.get("fingerprint") != fingerprint:
-                raise ValueError("artifact fingerprint mismatch")
-            compiled = payload["compiled"]
+            compiled = self._read(path, fingerprint)
         except FileNotFoundError:
             _COUNTS.misses += 1
             return None
@@ -192,17 +184,24 @@ class CompileCache:
         a corrupt leftover is still overwritten.  Does not touch the
         hit/miss counters — this is writer bookkeeping, not a lookup.
         """
-        path = self.path_for(fingerprint)
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            return (
-                isinstance(payload, dict)
-                and payload.get("format") == FORMAT_VERSION
-                and payload.get("fingerprint") == fingerprint
-            )
+            self._read(self.path_for(fingerprint), fingerprint)
         except Exception:
             return False
+        return True
+
+    @staticmethod
+    def _read(path: Path, fingerprint: str):
+        """Unpickle and validate one artifact file; raises on any defect."""
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError("artifact payload is not a dict")
+        if payload.get("format") != FORMAT_VERSION:
+            raise ValueError("artifact format version mismatch")
+        if payload.get("fingerprint") != fingerprint:
+            raise ValueError("artifact fingerprint mismatch")
+        return payload["compiled"]
 
     def _write(self, fingerprint: str, compiled, path: Path) -> Path:
         payload = {

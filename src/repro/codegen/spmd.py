@@ -1105,17 +1105,11 @@ class _BodyEmitter:
         payload = "PACK" if sending else "COUNT"
         fragments = generate_loops(data_set, payload)
         array = layout.array
-        lbs = self.emitter.array_lbounds(array)
         data_dims = comm_map.out_dims
 
-        if self.options.dataplane == "sections":
-            self._emit_section_fragments(
-                fragments, rename, bufs, sending, array, data_dims
-            )
-        else:
-            self._emit_element_fragments(
-                fragments, rename, bufs, sending, array, data_dims, lbs
-            )
+        self._emit_section_fragments(
+            fragments, rename, bufs, sending, array, data_dims
+        )
         for _ in range(closes):
             self.w.pop()
         self.w.pop()  # else:
@@ -1126,31 +1120,11 @@ class _BodyEmitter:
             opened_my = 0
 
         # Transfer phase.
-        if self.options.dataplane == "sections":
-            if sending:
-                self.w.line(f"for _q, _secs in {bufs}.items():")
-                self.w.push()
-                self.w.line(
-                    f"rt.send_section(_q, {tag!r}, {array!r}, _secs, "
-                    f"inplace={inplace_flag})"
-                )
-                self.w.pop()
-            else:
-                self.w.line(f"for _q, _count in sorted({bufs}.items()):")
-                self.w.push()
-                self.w.line("if _count:")
-                self.w.push()
-                self.w.line(
-                    f"rt.recv_section(_q, {tag!r}, {array!r}, "
-                    f"inplace={inplace_flag})"
-                )
-                self.w.pop()
-                self.w.pop()
-        elif sending:
-            self.w.line(f"for _q, (_idx, _vals) in {bufs}.items():")
+        if sending:
+            self.w.line(f"for _q, _secs in {bufs}.items():")
             self.w.push()
             self.w.line(
-                f"rt.send(_q, {tag!r}, _vals, indices=_idx, "
+                f"rt.send_section(_q, {tag!r}, {array!r}, _secs, "
                 f"inplace={inplace_flag})"
             )
             self.w.pop()
@@ -1160,45 +1134,11 @@ class _BodyEmitter:
             self.w.line("if _count:")
             self.w.push()
             self.w.line(
-                f"_idx, _vals = rt.recv(_q, {tag!r}, "
+                f"rt.recv_section(_q, {tag!r}, {array!r}, "
                 f"inplace={inplace_flag})"
             )
-            offset = ", ".join(
-                f"(_ix[{k}]) - {emit_linexpr(lb, rename)}"
-                for k, lb in enumerate(lbs)
-            )
-            self.w.line("for _ix, _v in zip(_idx, _vals):")
-            self.w.push()
-            self.w.line(f"{array}[{offset}] = _v")
             self.w.pop()
             self.w.pop()
-            self.w.pop()
-
-    def _emit_element_fragments(
-        self, fragments, rename, bufs, sending, array, data_dims, lbs
-    ):
-        """Legacy data plane: per-element pack loops (index/value lists)."""
-
-        def emit_leaf(payload_kind: str):
-            index_tuple = ", ".join(data_dims) + ","
-            if sending:
-                offset = ", ".join(
-                    f"({d}) - {emit_linexpr(lb, rename)}"
-                    for d, lb in zip(data_dims, lbs)
-                )
-                self.w.line(
-                    f"{bufs}.setdefault(_qrank, ([], []))[0]"
-                    f".append(({index_tuple}))"
-                )
-                self.w.line(
-                    f"{bufs}[_qrank][1].append({array}[{offset}])"
-                )
-            else:
-                self.w.line(
-                    f"{bufs}[_qrank] = {bufs}.get(_qrank, 0) + 1"
-                )
-
-        self._emit_loop_fragments(fragments, rename, emit_leaf)
 
     def _emit_section_fragments(
         self, fragments, rename, bufs, sending, array, data_dims

@@ -22,18 +22,10 @@ class CompilerOptions:
     loop_split: bool = False
     #: restrict VP loops to active virtual processors (§4.1 / Figure 5).
     active_vp: bool = True
-    #: guard-lifting depth for MMCodeGen (§5).
-    lift_guards: int = 1
     #: buffer handling: 'overlap' unpacks into array storage (copy cost);
     #: 'direct' references received data in place (check cost unless the
     #: loop is split).
     buffer_mode: str = "overlap"
-    #: communication data plane: 'sections' lowers each comm-set conjunct
-    #: to a strided section descriptor and moves payloads with vectorized
-    #: numpy slice pack/scatter (zero-copy shm views on the mp backend);
-    #: 'elements' is the legacy per-element index/value-list plane, kept
-    #: for A/B benchmarking.
-    dataplane: str = "sections"
     #: compute plane: 'kernels' lowers qualifying innermost affine loop
     #: pieces to numpy strided-slice statements (recognized reductions
     #: become ``np.max``/``np.min``/``np.sum`` partials feeding the

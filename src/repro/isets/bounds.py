@@ -11,7 +11,6 @@ candidate.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -172,19 +171,13 @@ def extract_bounds(
 #: valid at every prefix of the fixpoint — and benchmark sweeps show the
 #: useful tightenings land in the first two rounds (higher caps spend
 #: their extra rounds crawling stride systems for no extra verdicts).
-#: Overridable via ``REPRO_PRESOLVE_ROUNDS`` for tuning experiments.
-PRESOLVE_MAX_ROUNDS = max(
-    1, int(os.environ.get("REPRO_PRESOLVE_ROUNDS", "") or 2)
-)
+PRESOLVE_MAX_ROUNDS = 2
 
 #: Per-conjunct work budget, counted in constraint-term visits across all
 #: rounds.  A safety valve so one pathological conjunct cannot turn the
 #: presolve itself into the hot spot; typical conjuncts (<= 64 constraints,
-#: <= 8 variables) finish well under it.  Overridable via
-#: ``REPRO_PRESOLVE_BUDGET``.
-PRESOLVE_WORK_BUDGET = max(
-    64, int(os.environ.get("REPRO_PRESOLVE_BUDGET", "") or 4096)
-)
+#: <= 8 variables) finish well under it.
+PRESOLVE_WORK_BUDGET = 4096
 
 #: Shared default for window lookups (avoids a tuple allocation per get).
 _UNBOUNDED: Tuple[Optional[int], Optional[int]] = (None, None)
@@ -200,12 +193,10 @@ _presolve_tls = threading.local()
 def presolve_enabled() -> bool:
     """Presolve on/off switch (A/B gate for the byte-identity argument).
 
-    Disabled process-wide by ``REPRO_PRESOLVE=0`` or per-thread via
-    :func:`presolve_disabled` — used by ``scripts/cache_roundtrip.py`` to
-    assert presolve-on and presolve-off compiles emit identical bytes.
+    Disabled per-thread via :func:`presolve_disabled` — used by
+    ``scripts/cache_roundtrip.py`` to assert presolve-on and presolve-off
+    compiles emit identical bytes.
     """
-    if os.environ.get("REPRO_PRESOLVE", "1") == "0":
-        return False
     return not getattr(_presolve_tls, "disabled", 0)
 
 

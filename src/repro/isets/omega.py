@@ -18,13 +18,11 @@ These are the algorithms the paper relies on via the Omega library
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from time import perf_counter as _clock
 
 from ..cache.manager import caches
-from . import parallel
 from .bounds import (
     interval_implied,
     interval_width,
@@ -53,26 +51,6 @@ _EMPTINESS = caches.register("isets.emptiness", maxsize=200_000)
 _NORMALIZE = caches.register("isets.normalize", maxsize=100_000)
 _REDUNDANCY = caches.register("isets.redundancy", maxsize=100_000)
 _PROJECTION = caches.register("isets.projection", maxsize=50_000)
-# Witness hints for the corner probe in ``_quick_feasibility``: keyed on
-# the *shape* of the multi-variable constraint system (coefficient
-# patterns, constants abstracted away), valued with the last corner that
-# certified nonemptiness.  Entries are hints, not answers — every reuse
-# is re-verified against the actual constraints — so unlike the memo
-# caches above a stale or colliding entry can cost a probe, never
-# soundness.  LRU-capped (``REPRO_WITNESS_CACHE_SIZE``, default 8192);
-# stores/evictions surface as ``witness.stored`` / ``witness.evicted``
-# profiler events and in the ``isets.witness`` row of the service
-# ``/stats`` cache aggregate.
-
-
-def _witness_cache_size() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_WITNESS_CACHE_SIZE", "8192")))
-    except ValueError:
-        return 8_192
-
-
-_WITNESS = caches.register("isets.witness", maxsize=_witness_cache_size())
 
 
 class _ExactKey:
@@ -487,36 +465,31 @@ def project_out(
     conjunct: Conjunct,
     names: Sequence[str],
     approximate: bool = False,
-    order: str = "given",
 ) -> List[Conjunct]:
     """Project several variables out of a conjunct, exactly; memoized.
 
-    ``order="given"`` eliminates in the caller's sequence — deterministic
-    and byte-stable, required on every path whose conjuncts can reach
-    emitted artifacts.  ``order="least_fill"`` re-picks the cheapest
-    variable before each elimination step (minimal Fourier–Motzkin fill);
-    the result denotes the same set but may list different constraints, so
-    it is only for consumers that observe semantics (emptiness, membership,
-    bounds), not representation.
+    Variables are eliminated in the caller's sequence — deterministic and
+    byte-stable, which every path whose conjuncts can reach emitted
+    artifacts requires.
     """
     profiler = active_profiler()
     if profiler is None:
         if not caches.enabled:
-            return _project_out_uncached(conjunct, names, approximate, order)
-        key = (_exact_key(conjunct), tuple(names), approximate, order)
+            return _project_out_uncached(conjunct, names, approximate)
+        key = (_exact_key(conjunct), tuple(names), approximate)
         cached = _PROJECTION.memoize(
             key,
-            lambda: _project_out_uncached(conjunct, names, approximate, order),
+            lambda: _project_out_uncached(conjunct, names, approximate),
         )
         return list(cached)
     start = _clock()
     if not caches.enabled:
-        result = _project_out_uncached(conjunct, names, approximate, order)
+        result = _project_out_uncached(conjunct, names, approximate)
     else:
-        key = (_exact_key(conjunct), tuple(names), approximate, order)
+        key = (_exact_key(conjunct), tuple(names), approximate)
         result = list(_PROJECTION.memoize(
             key,
-            lambda: _project_out_uncached(conjunct, names, approximate, order),
+            lambda: _project_out_uncached(conjunct, names, approximate),
         ))
     profiler.record(
         "project_out",
@@ -527,65 +500,15 @@ def project_out(
     return result
 
 
-def _least_fill_choice(work: List[Conjunct], remaining: List[str]) -> str:
-    """Pick the cheapest variable to eliminate next (least-fill ordering).
-
-    Fourier–Motzkin replaces ``lowers × uppers`` bound pairs for the chosen
-    variable with their combinations, so eliminating high-fill variables
-    first multiplies the constraint count at every later step.  Score each
-    candidate by its total fill across the current work list; a variable
-    sitting in a unit-coefficient equality is free (substituted away).
-    Ties resolve to the earliest name in ``remaining`` — deterministic.
-    """
-    if len(remaining) == 1:
-        return remaining[0]
-    best = remaining[0]
-    best_score = None
-    for name in remaining:
-        score = 0
-        for item in work:
-            lowers = uppers = 0
-            free = False
-            for constraint in item.constraints:
-                coeff = constraint.coeff(name)
-                if coeff == 0:
-                    continue
-                if constraint.is_equality:
-                    if abs(coeff) == 1:
-                        free = True
-                        break
-                    lowers += 1
-                    uppers += 1
-                elif coeff > 0:
-                    lowers += 1
-                else:
-                    uppers += 1
-            if not free:
-                score += lowers * uppers
-        if best_score is None or score < best_score:
-            best = name
-            best_score = score
-    return best
-
-
 def _project_out_uncached(
     conjunct: Conjunct,
     names: Sequence[str],
     approximate: bool = False,
-    order: str = "given",
 ) -> List[Conjunct]:
     work = [conjunct.with_wildcards(
         [n for n in names if n not in conjunct.wildcards]
     )]
-    remaining = list(names)
-    while remaining:
-        if order == "least_fill":
-            name = _least_fill_choice(work, remaining)
-            if name != remaining[0]:
-                record_event("project_out.least_fill_reorder")
-        else:
-            name = remaining[0]
-        remaining.remove(name)
+    for name in names:
         next_work: List[Conjunct] = []
         for item in work:
             next_work.extend(eliminate_variable(item, name, approximate))
@@ -688,10 +611,10 @@ def _quick_feasibility(conjunct: Conjunct) -> Optional[bool]:
     The interval propagation is the presolve engine's
     (:func:`~.bounds.presolve_conjunct`): single-variable constraints seed
     the windows, then fixpoint rounds over the multi-variable constraints
-    tighten them (see DESIGN §14).  With presolve disabled
-    (``REPRO_PRESOLVE=0``) a single seed-plus-check pass runs instead —
-    the pre-presolve behaviour, kept as the A/B baseline for the
-    byte-identity gate in ``scripts/cache_roundtrip.py``.
+    tighten them (see DESIGN §14).  Under
+    :func:`~.bounds.presolve_disabled` a single seed-plus-check pass runs
+    instead — the pre-presolve behaviour, kept as the A/B baseline for
+    the byte-identity gate in ``scripts/cache_roundtrip.py``.
     """
     if presolve_enabled():
         pre = presolve_conjunct(conjunct)
@@ -797,62 +720,24 @@ def _quick_feasibility(conjunct: Conjunct) -> Optional[bool]:
         # Witness probe: the lower corner of the interval box satisfies
         # every single-variable constraint by construction; if it happens
         # to satisfy the multi-variable inequalities too, the conjunct is
-        # certified nonempty without any elimination.  Systems emitted by
-        # the same compiler path recur with identical coefficient shapes
-        # and only the constants shifted, so the corner that worked last
-        # time is tried first (``_WITNESS``); a cached corner must pass
-        # both the interval windows and the multi-variable constraints
-        # before it is trusted.
-        index: Dict[str, int] = {}
-        shape = []
+        # certified nonempty without any elimination.
+        env: Dict[str, int] = {}
         for constraint in multi:
-            row = []
-            for var, coeff in constraint.expr.terms():
-                slot = index.get(var)
-                if slot is None:
-                    slot = index[var] = len(index)
-                row.append((slot, coeff))
-            shape.append(tuple(row))
-        shape_key = tuple(shape)
-        order = list(index)  # insertion order matches the slot numbers
-        if caches.enabled:
-            found, cached = _WITNESS.lookup(shape_key)
-            if found:
-                env = dict(zip(order, cached))
-                if all(
-                    _in_window(bounds.get(var, (None, None)), value)
-                    for var, value in env.items()
-                ) and all(c.expr.evaluate(env) >= 0 for c in multi):
-                    record_event("fastpath.witness_cache_hit")
-                    return False
-        env = {}
-        for var in order:
-            lo, hi = bounds.get(var, (None, None))
-            if lo is not None:
-                env[var] = lo
-            elif hi is not None:
-                env[var] = hi
-            else:
-                env[var] = 0
+            for var, _ in constraint.expr.terms():
+                if var in env:
+                    continue
+                lo, hi = bounds.get(var, _NO_WINDOW)
+                if lo is not None:
+                    env[var] = lo
+                elif hi is not None:
+                    env[var] = hi
+                else:
+                    env[var] = 0
         if all(c.expr.evaluate(env) >= 0 for c in multi):
             record_event("fastpath.corner_nonempty")
-            if caches.enabled:
-                evicted = _WITNESS.put(
-                    shape_key, tuple(env[var] for var in order)
-                )
-                record_event("witness.stored")
-                if evicted:
-                    record_event("witness.evicted", evicted)
             return False
         if _repair_walk(env, bounds, multi):
             record_event("fastpath.repair_nonempty")
-            if caches.enabled:
-                evicted = _WITNESS.put(
-                    shape_key, tuple(env[var] for var in order)
-                )
-                record_event("witness.stored")
-                if evicted:
-                    record_event("witness.evicted", evicted)
             return False
     return None
 
@@ -870,8 +755,7 @@ def _repair_walk(
     respects the windows, so a point satisfying all multi-variable
     constraints is a genuine integer witness — the walk can only certify
     *non*-emptiness, never emptiness, and a step budget bounds the cost on
-    systems where it ping-pongs.  Mutates ``env`` in place so the caller
-    can cache the witness it finds.
+    systems where it ping-pongs.  Mutates ``env`` in place.
 
     The budget is a small constant: measured on the benchmark suite every
     walk that succeeds does so within five steps, while walks on actually
@@ -919,15 +803,6 @@ def _repair_walk(
 
 
 _NO_WINDOW: Tuple[Optional[int], Optional[int]] = (None, None)
-
-
-def _in_window(window: Tuple[Optional[int], Optional[int]],
-               value: int) -> bool:
-    """``value`` lies inside the (possibly half-open) interval window."""
-    lo, hi = window
-    if lo is not None and value < lo:
-        return False
-    return hi is None or value <= hi
 
 
 def is_empty_conjunct(conjunct: Conjunct) -> bool:
@@ -1143,44 +1018,10 @@ def _remove_redundancies_uncached(conjunct: Conjunct) -> Optional[Conjunct]:
     if current is None:
         return None
     kept: List[Constraint] = list(current.constraints)
-    # Parallel prescreen (off unless REPRO_SET_THREADS >= 2): test every
-    # inequality against *all* the others at once.  A candidate not implied
-    # by the full remainder cannot be implied by any weaker remainder the
-    # sequential sweep will test it against, so it is definitely kept and
-    # its in-loop query can be skipped.  Implication against a superset is
-    # inconclusive for *dropping*, so implied candidates still go through
-    # the order-dependent loop — the output is exactly the sequential one.
-    definitely_kept: Set[int] = set()
-    candidates = [
-        (index, constraint)
-        for index, constraint in enumerate(kept)
-        if not constraint.is_equality
-    ]
-    if parallel.pool_size() >= 2 and len(candidates) >= 2:
-        flags = parallel.query_map(
-            "rmred",
-            candidates,
-            lambda pair: constraint_redundant(
-                Conjunct(
-                    kept[:pair[0]] + kept[pair[0] + 1:], current.wildcards
-                ),
-                pair[1],
-            ),
-        )
-        definitely_kept = {
-            index
-            for (index, _), implied in zip(candidates, flags)
-            if not implied
-        }
-        if definitely_kept:
-            record_event(
-                "parallel.definitely_kept", len(definitely_kept)
-            )
     index = 0
-    position = {id(c): i for i, c in enumerate(kept)}
     while index < len(kept):
         candidate = kept[index]
-        if candidate.is_equality or position[id(candidate)] in definitely_kept:
+        if candidate.is_equality:
             index += 1
             continue
         rest = Conjunct(
@@ -1271,12 +1112,7 @@ def incremental_redundancies(
     screen drops constraints that are nonnegative over ``base``'s
     propagated interval box (implied by ``base`` alone, hence by ``base``
     plus anything kept); only survivors pay the memoized emptiness-based
-    implication test.  With ``REPRO_SET_THREADS >= 2``, those survivor
-    queries are additionally prescreened in parallel against ``base``
-    alone — implication by ``base`` is monotone in the context, so a
-    parallel "drop" is exactly a sequential "drop", and the order-
-    dependent loop below only runs for constraints the prescreen could
-    not decide.  The kept list is byte-for-byte the sequential one.
+    implication test.
     """
     profiler = active_profiler()
     start = _clock() if profiler is not None else 0.0
@@ -1286,24 +1122,6 @@ def incremental_redundancies(
         pre = presolve_conjunct(base)
         if not pre.empty:
             intervals = pre.intervals
-    prescreen: Dict[Constraint, bool] = {}
-    if parallel.pool_size() >= 2:
-        undecided = [
-            constraint
-            for constraint in fresh
-            if not _index_implies(geq_min, eq_consts, constraint)
-            and not (
-                intervals is not None
-                and interval_implied(intervals, constraint)
-            )
-        ]
-        if len(undecided) >= 2:
-            flags = parallel.query_map(
-                "incred",
-                undecided,
-                lambda c: constraint_redundant(base, c),
-            )
-            prescreen = dict(zip(undecided, flags))
     kept: List[Constraint] = []
     for constraint in fresh:
         if _index_implies(geq_min, eq_consts, constraint):
@@ -1311,9 +1129,6 @@ def incremental_redundancies(
             continue
         if intervals is not None and interval_implied(intervals, constraint):
             record_event("presolve.implied")
-            continue
-        if prescreen.get(constraint):
-            record_event("parallel.prescreen_drop")
             continue
         if not constraint_redundant(
             base.with_constraints(kept), constraint

@@ -27,7 +27,6 @@ from time import perf_counter as _clock
 
 from ..cache.intern import intern_conjunct, presburger_key
 from ..cache.manager import caches
-from . import parallel
 from .constraint import EQ, Constraint
 from .conjunct import Conjunct
 from .errors import InexactOperationError, SpaceMismatchError
@@ -796,13 +795,7 @@ def split_disjoint(subset: "IntegerSet") -> List["IntegerSet"]:
                 for piece in fresh
                 for remainder in disjoint_subtract(piece, existing)
             ]
-        # The per-remainder emptiness checks are independent boolean
-        # queries; query_map fans them out when REPRO_SET_THREADS is set
-        # and preserves input order either way.
-        empty_flags = parallel.query_map("split", fresh, is_empty_conjunct)
-        pieces.extend(
-            p for p, empty in zip(fresh, empty_flags) if not empty
-        )
+        pieces.extend(p for p in fresh if not is_empty_conjunct(p))
     if profiler is not None:
         profiler.record(
             "split_disjoint",

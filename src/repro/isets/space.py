@@ -15,51 +15,20 @@ different index names).
 from __future__ import annotations
 
 import itertools
-import threading
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import SpaceMismatchError
 
 _fresh_counter = itertools.count()
-
-_fresh_tls = threading.local()
 
 
 def fresh_name(stem: str = "e") -> str:
     """Return a globally fresh variable name.
 
     The ``$`` character cannot appear in parsed input, so fresh names can
-    never collide with user-written dimension or parameter names.  Inside a
-    :func:`scoped_fresh_names` block the name is drawn from the scope's own
-    counter instead of the process-wide one.
+    never collide with user-written dimension or parameter names.
     """
-    scope = getattr(_fresh_tls, "scope", None)
-    if scope is not None:
-        tag, counter = scope
-        return f"{stem}${tag}${next(counter)}"
     return f"{stem}${next(_fresh_counter)}"
-
-
-@contextmanager
-def scoped_fresh_names(tag: str) -> Iterator[None]:
-    """Draw fresh names from a private, deterministic counter.
-
-    Used by parallel query workers: a boolean query (emptiness, redundancy)
-    may allocate wildcards internally, and letting worker threads race on
-    the global counter would make the *main* path's allocations depend on
-    thread scheduling — perturbing artifact bytes.  The scope's names embed
-    ``tag`` (two ``$`` separators, so they still cannot collide with parsed
-    input or global fresh names) and restart from 0, which is fine because
-    boolean queries never leak names into results.  Thread-local; scopes
-    nest, innermost wins.
-    """
-    previous = getattr(_fresh_tls, "scope", None)
-    _fresh_tls.scope = (tag, itertools.count())
-    try:
-        yield
-    finally:
-        _fresh_tls.scope = previous
 
 
 class Space:

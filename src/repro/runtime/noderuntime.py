@@ -1,9 +1,9 @@
 """The abstract runtime API generated node programs run against.
 
 The SPMD emitter targets exactly this surface: ``rt.send_section`` /
-``rt.recv_section`` for descriptor-based communication (the legacy
-per-element ``rt.send`` / ``rt.recv`` remain for the ``elements`` data
-plane and hand-written node programs), ``rt.allreduce`` / ``rt.barrier``
+``rt.recv_section`` for descriptor-based communication (per-element
+``rt.send`` / ``rt.recv`` remain for hand-written node programs),
+``rt.allreduce`` / ``rt.barrier``
 for collectives, ``rt.work`` / ``rt.check`` for cost accounting,
 ``rt.member`` for fallback set guards, and the ``env`` / ``arrays`` /
 ``lbounds`` / ``scalars`` / ``red_base`` / ``inplace`` state

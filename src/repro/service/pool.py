@@ -112,11 +112,6 @@ def worker_main(
     diagnostics; the parent reads it after a death.
     """
     signal_mod.signal(signal_mod.SIGINT, signal_mod.SIG_IGN)
-    # The pool already runs one compile per core; nested set-engine thread
-    # fan-out (REPRO_SET_THREADS) inside a worker would oversubscribe it.
-    from ..isets import parallel as set_parallel
-
-    set_parallel.disable()
     injector = None
     if fault_plan is not None and fault_plan.faults:
         plan = fault_plan.for_attempt(slot_gen)

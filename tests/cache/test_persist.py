@@ -54,9 +54,7 @@ def test_fingerprint_changes_on_every_semantic_option_field():
         "inplace": False,
         "loop_split": True,
         "active_vp": False,
-        "lift_guards": 0,
         "buffer_mode": "direct",
-        "dataplane": "elements",
         "compute": "scalar",
     }
     semantic = set(options_fingerprint_fields(base_options))

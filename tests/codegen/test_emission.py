@@ -93,15 +93,6 @@ class TestGeneratedModule:
         # partitioned bounds reference myid's (VP) coordinate
         assert "my_p_0" in source
 
-    def test_elements_dataplane_structure(self):
-        """The legacy per-element plane stays available for A/B runs."""
-        compiled = compile_program(
-            STENCIL, CompilerOptions(dataplane="elements")
-        )
-        source = compiled.source
-        assert "rt.send(" in source and "rt.recv(" in source
-        assert "rt.send_section(" not in source
-
     def test_no_dollar_names_leak(self):
         """Fresh internal names contain '$' and must never be emitted."""
         for options in (

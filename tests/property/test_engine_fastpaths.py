@@ -6,10 +6,8 @@ change any *answer*:
 * :func:`repro.isets.omega._quick_feasibility` — the GCD / interval /
   corner-witness emptiness pre-test.  It returns a tri-state; whenever it
   commits to an answer, that answer must match brute-force enumeration.
-* ``project_out(..., order="least_fill")`` — the fill-minimizing
-  elimination order.  It may produce a different *representation* than
-  the default caller order (which is why it is opt-in, see DESIGN.md),
-  but the set of points must be identical to brute-force projection.
+* ``project_out`` — exact projection in the caller's elimination order.
+  The set of points must be identical to brute-force projection.
 * :func:`repro.isets.bounds.presolve_constraints` — the
   bounds-propagation presolve.  An ``empty`` verdict, the per-variable
   interval windows, and the pinned values must each agree with brute
@@ -97,34 +95,31 @@ def test_quick_feasibility_agrees_with_full_test(conjunct):
 
 @settings(max_examples=80, deadline=None)
 @given(boxed_conjuncts(), st.sampled_from([("y",), ("z",), ("y", "z")]))
-def test_least_fill_projection_matches_brute_force(conjunct, eliminate):
+def test_projection_matches_brute_force(conjunct, eliminate):
     kept = tuple(d for d in ("x", "y", "z") if d not in eliminate)
     expected = {
         tuple(p[("x", "y", "z").index(d)] for d in kept)
         for p in _points(conjunct)
     }
-    for order in ("given", "least_fill"):
-        try:
-            pieces = project_out(conjunct, list(eliminate), order=order)
-        except InexactOperationError:
-            # The exact-elimination iteration cap is a documented engine
-            # limit, orthogonal to the ordering property under test.
-            continue
-        lo, hi = BOX
-        got = set()
-        for values in itertools.product(
-            range(lo, hi + 1), repeat=len(kept)
+    try:
+        pieces = project_out(conjunct, list(eliminate))
+    except InexactOperationError:
+        # The exact-elimination iteration cap is a documented engine
+        # limit, orthogonal to the projection property under test.
+        return
+    lo, hi = BOX
+    got = set()
+    for values in itertools.product(range(lo, hi + 1), repeat=len(kept)):
+        env = dict(zip(kept, values))
+        if any(
+            not is_empty_conjunct(piece.partial_evaluate(env))
+            for piece in pieces
         ):
-            env = dict(zip(kept, values))
-            if any(
-                not is_empty_conjunct(piece.partial_evaluate(env))
-                for piece in pieces
-            ):
-                got.add(values)
-        assert got == expected, (
-            f"project_out(order={order!r}) disagrees with brute force "
-            f"eliminating {eliminate} from {conjunct}"
-        )
+            got.add(values)
+    assert got == expected, (
+        f"project_out disagrees with brute force eliminating "
+        f"{eliminate} from {conjunct}"
+    )
 
 
 @settings(max_examples=150, deadline=None)

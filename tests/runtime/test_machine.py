@@ -70,7 +70,7 @@ def test_rank_exception_surfaces():
         rt.allreduce("+", 0)  # would block forever without rank 1
 
     with pytest.raises(CommunicationError):
-        Machine(2).run(node, _make_runtime_factory())
+        Machine(2, recv_timeout_s=0.5).run(node, _make_runtime_factory())
 
 
 def test_traces_recorded():

@@ -1,6 +1,7 @@
 """The compile server end to end: HTTP protocol, caching kinds,
 single-flight coalescing, typed failure behaviour, CLI verbs."""
 
+import http.client
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -161,6 +162,28 @@ def test_bad_requests_are_400(client):
     assert empty["ok"] is False
     missing = client.request("GET", "/nowhere")
     assert missing["ok"] is False and missing["error"]["type"] == "NotFound"
+
+
+def test_removed_option_is_a_400_not_a_silent_default(server):
+    """A knob that no longer exists must be refused at the wire, never
+    compiled as if it had not been sent."""
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+    try:
+        conn.request(
+            "POST", "/compile",
+            body=json.dumps({
+                "source": PROGRAM, "options": {"dataplane": "elements"},
+            }),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        data = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert data["error"]["type"] == "BadRequest"
+    assert "unknown or forbidden option field" in data["error"]["message"]
+    assert "dataplane" in data["error"]["message"]
 
 
 def test_stats_shape(client):
