@@ -7,126 +7,16 @@ changes.  Absolute numbers differ: the substrate is a simulated machine,
 not the authors' IBM SP-2.
 """
 
-import json
-import platform
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro import CostModel, compile_program, run_compiled
 
-BENCH_DATAPLANE_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_dataplane.json"
-)
-BENCH_KERNELS_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
-)
-BENCH_SERVICE_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_service.json"
-)
-BENCH_COMPILE_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_compile.json"
-)
-BENCH_TASKGRAPH_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_taskgraph.json"
-)
-BENCH_SERVICE_POOL_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_service_pool.json"
-)
-
 
 def emit(line: str = "") -> None:
     """Print a reproduction row (shown with -s; captured otherwise)."""
     print(f"[repro] {line}", file=sys.stderr)
-
-
-def _record_json(path: Path, generated_by: str, section: str,
-                 payload) -> None:
-    """Read-modify-write one section of a benchmark JSON file."""
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = {}
-    data.setdefault("meta", {}).update(
-        {
-            "generated_by": generated_by,
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        }
-    )
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def record_dataplane(section: str, payload) -> None:
-    """Read-modify-write one section of ``BENCH_dataplane.json``."""
-    _record_json(
-        BENCH_DATAPLANE_PATH,
-        "benchmarks (dataplane + fig7 measured runs)",
-        section,
-        payload,
-    )
-
-
-def record_kernels(section: str, payload) -> None:
-    """Read-modify-write one section of ``BENCH_kernels.json``."""
-    _record_json(
-        BENCH_KERNELS_PATH,
-        "benchmarks (compute plane: kernels vs scalar A/B)",
-        section,
-        payload,
-    )
-
-
-def record_service(section: str, payload) -> None:
-    """Read-modify-write one section of ``BENCH_service.json``."""
-    _record_json(
-        BENCH_SERVICE_PATH,
-        "benchmarks (compile service load harness)",
-        section,
-        payload,
-    )
-
-
-def record_compile(section: str, payload) -> None:
-    """Read-modify-write one section of ``BENCH_compile.json``."""
-    _record_json(
-        BENCH_COMPILE_PATH,
-        "benchmarks (cold compile time vs recorded seed baseline)",
-        section,
-        payload,
-    )
-
-
-def record_taskgraph(section: str, payload) -> None:
-    """Read-modify-write one section of ``BENCH_taskgraph.json``."""
-    _record_json(
-        BENCH_TASKGRAPH_PATH,
-        "benchmarks (taskgraph backend: comm/compute overlap vs threads)",
-        section,
-        payload,
-    )
-
-
-def percentile_of(samples, p):
-    """Nearest-rank percentile of a non-empty sample list."""
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(p / 100.0 * len(ordered) + 0.5)) - 1))
-    return ordered[rank]
-
-
-def record_service_pool(section: str, payload) -> None:
-    """Read-modify-write one section of ``BENCH_service_pool.json``."""
-    _record_json(
-        BENCH_SERVICE_POOL_PATH,
-        "benchmarks (supervised worker pool: throughput, chaos, drain)",
-        section,
-        payload,
-    )
 
 
 def speedup_series(source, params, proc_counts, options=None,

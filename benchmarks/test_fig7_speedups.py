@@ -15,14 +15,11 @@ Sizes are scaled down from the paper's (Python executes every statement
 interpretively) but keep the same small-vs-large relationships.
 """
 
-import os
-
 import pytest
 
-from repro import compile_program, run_compiled
 from repro.programs import erlebacher, jacobi, tomcatv
 
-from conftest import emit, record_dataplane, speedup_series
+from conftest import emit, speedup_series
 
 PROCS = (1, 2, 4, 8, 16)
 PROCS_2D = (2, 4, 8, 16)  # 2 x (nprocs/2) grids need an even count
@@ -132,71 +129,3 @@ def test_fig7_relative_difficulty(benchmark):
          f"ERLEBACHER {erl8:.2f}")
     assert jac8 > erl8
     assert tom8 > erl8
-
-
-# ---------------------------------------------------------------------------
-# Opt-in: measured mp wall-clock next to the LogGP predictions
-# ---------------------------------------------------------------------------
-
-MEASURED_ENV = "REPRO_FIG7_MEASURED"
-
-
-@pytest.mark.skipif(
-    not os.environ.get(MEASURED_ENV),
-    reason=f"set {MEASURED_ENV}=1 for the measured multiprocess run",
-)
-@pytest.mark.benchmark(group="fig7-measured")
-def test_fig7_measured_mp_wallclock(benchmark):
-    """Re-run the Figure 7 codes on the multiprocess backend and record
-    each rank count's *measured* wall-clock (slowest rank, from
-    ``RankTiming``) next to the LogGP-predicted time in
-    ``BENCH_dataplane.json``.  Opt-in: real processes at up to 8 ranks
-    plus the 2-D JACOBI compile make this far slower than the replay
-    benchmarks above."""
-    programs = {
-        "tomcatv": (tomcatv(), {"n": 48, "niter": 2}, (1, 2, 4, 8)),
-        "erlebacher": (
-            erlebacher(), {"n": 12, "nz": 32, "niter": 2}, (1, 2, 4, 8)
-        ),
-        "jacobi": (jacobi(), {"n": 96, "niter": 2}, (2, 4, 8)),
-    }
-
-    def run():
-        curves = {}
-        for name, (source, params, procs) in programs.items():
-            compiled = compile_program(source)
-            curve = {}
-            for p in procs:
-                outcome = run_compiled(
-                    compiled, params=params, nprocs=p,
-                    backend="mp", validate=False,
-                )
-                curve[str(p)] = {
-                    "measured_wall_s": outcome.max_rank_wall_s,
-                    "predicted_loggp_s": outcome.predicted_time,
-                    # Per-rank RankTiming detail: total wall and the
-                    # share spent inside send/recv/collectives.
-                    "ranks": [
-                        {
-                            "rank": t.rank,
-                            "wall_s": t.wall_s,
-                            "comm_wall_s": t.comm_wall_s,
-                        }
-                        for t in sorted(
-                            outcome.timings, key=lambda t: t.rank
-                        )
-                    ],
-                }
-            curves[name] = {"params": params, "curve": curve}
-        return curves
-
-    curves = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, entry in curves.items():
-        for p, row in sorted(entry["curve"].items(), key=lambda kv: int(kv[0])):
-            emit(
-                f"{name:10s} p={p}: measured "
-                f"{row['measured_wall_s'] * 1e3:8.2f} ms   LogGP "
-                f"{row['predicted_loggp_s'] * 1e3:8.3f} ms"
-            )
-            assert row["measured_wall_s"] > 0.0
-    record_dataplane("fig7_measured_mp", {"backend": "mp", "results": curves})

@@ -26,8 +26,6 @@ from .intern import (
     conjunct_key,
     constraint_key,
     intern_conjunct,
-    intern_constraint,
-    intern_linexpr,
     linexpr_key,
     presburger_key,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "constraint_key",
     "default_cache_dir",
     "intern_conjunct",
-    "intern_constraint",
-    "intern_linexpr",
     "linexpr_key",
     "presburger_key",
     "reset_caches",

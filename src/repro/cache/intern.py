@@ -74,22 +74,6 @@ def presburger_key(value) -> Tuple:
     )
 
 
-def intern_linexpr(expr: LinExpr) -> LinExpr:
-    """Canonical instance for ``expr`` (identity-stable per process)."""
-    cache = caches.register("intern.linexpr", maxsize=65536)
-    if not caches.enabled:
-        return expr
-    return cache.intern(linexpr_key(expr), expr)
-
-
-def intern_constraint(constraint: Constraint) -> Constraint:
-    """Canonical instance for ``constraint``."""
-    cache = caches.register("intern.constraint", maxsize=65536)
-    if not caches.enabled:
-        return constraint
-    return cache.intern(constraint_key(constraint), constraint)
-
-
 def intern_conjunct(conjunct: Conjunct) -> Conjunct:
     """Canonical instance for ``conjunct``; an intern hit returns the
     first-seen structurally identical instance (same names, same order, so

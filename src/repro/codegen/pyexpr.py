@@ -154,13 +154,6 @@ def emit_set_guard(
     return " or ".join(clauses)
 
 
-def emit_affine_offset(
-    expr: LinExpr, rename: Optional[Mapping[str, str]] = None
-) -> str:
-    """A loop-var-free affine offset as source text (slice arithmetic)."""
-    return emit_linexpr(expr, rename)
-
-
 def emit_slice(
     lower_name: str, upper_name: str, offset: str, stride: int
 ) -> str:

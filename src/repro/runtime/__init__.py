@@ -20,7 +20,7 @@ from .backends import (
     register_backend,
     resolve_backend,
 )
-from .cost import CostModel, ReplayResult, replay, speedup_curve
+from .cost import CostModel, ReplayResult, replay
 from .errors import (
     CommunicationError,
     LaunchError,
@@ -95,5 +95,4 @@ __all__ = [
     "replay",
     "resolve_backend",
     "run_compiled",
-    "speedup_curve",
 ]

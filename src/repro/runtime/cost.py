@@ -151,9 +151,3 @@ def replay(traces: List[Trace], model: CostModel = CostModel()) -> ReplayResult:
         clocks[rank] += trace.buffer_checks * model.check_time
     return ReplayResult(max(clocks), clocks, comm_time)
 
-
-def speedup_curve(
-    serial_time: float, parallel_times: Dict[int, float]
-) -> Dict[int, float]:
-    """Speedups relative to a serial execution time."""
-    return {p: serial_time / t for p, t in parallel_times.items()}

@@ -473,6 +473,8 @@ def build_launch_spec(
     is resolved here in the parent, so backends — including out-of-process
     workers — only see plain numbers, names, and the node-program source.
     """
+    if nprocs < 1:
+        raise ValueError(f"nprocs must be at least 1, got {nprocs}")
     options = options or RuntimeOptions()
     program = compiled.program
     mapping = compiled.mapping

@@ -45,45 +45,49 @@ __all__ = [
 class _Collective:
     """Reusable rendezvous combining one value from every rank."""
 
-    def __init__(self, nprocs: int, timeout_s: Optional[float] = None):
-        self.nprocs = nprocs
-        self.timeout_s = (
-            timeout_s if timeout_s is not None else default_recv_timeout()
-        )
+    def __init__(self, machine: "Machine"):
+        self.machine = machine
+        self.timeout_s = machine.recv_timeout_s
         self.lock = threading.Condition()
-        self.values: List[Any] = []
+        self.values: List[Tuple[int, Any]] = []
         self.result: Any = None
         self.generation = 0
 
-    def combine(self, value, op: Callable[[List[Any]], Any], rank=None):
+    def combine(self, rank: int, value, op: Callable[[List[Any]], Any]):
+        nprocs, abort = self.machine.nprocs, self.machine.abort
         with self.lock:
             generation = self.generation
-            self.values.append(value)
-            if len(self.values) == self.nprocs:
-                self.result = op(self.values)
+            self.values.append((rank, value))
+            if len(self.values) == nprocs:
+                # Ascending rank order: one fixed combining order,
+                # whatever order the ranks arrived in.
+                self.result = op([v for _r, v in sorted(self.values)])
                 self.values = []
                 self.generation += 1
                 self.lock.notify_all()
-            else:
-                if not self.lock.wait_for(
-                    lambda: self.generation != generation,
-                    timeout=self.timeout_s,
-                ):
-                    arrived = len(self.values)
-                    raise RecvTimeoutError(
-                        "collective timed out after "
-                        f"{self.timeout_s:g}s",
-                        diagnostics=[
-                            RankDiagnostics(
-                                rank=-1 if rank is None else rank,
-                                phase="collective",
-                                detail=(
-                                    f"{arrived}/{self.nprocs} ranks had "
-                                    "arrived at the rendezvous"
-                                ),
-                            )
-                        ],
-                    )
+            elif not self.lock.wait_for(
+                lambda: self.generation != generation or abort.is_set(),
+                timeout=self.timeout_s,
+            ):
+                arrived = len(self.values)
+                raise RecvTimeoutError(
+                    "collective timed out after "
+                    f"{self.timeout_s:g}s",
+                    diagnostics=[
+                        RankDiagnostics(
+                            rank=rank,
+                            phase="collective",
+                            detail=(
+                                f"{arrived}/{nprocs} ranks had "
+                                "arrived at the rendezvous"
+                            ),
+                        )
+                    ],
+                )
+            elif self.generation == generation:
+                raise self.machine.abandoned(
+                    rank, "collective", "collective"
+                )
             return self.result
 
 
@@ -215,7 +219,13 @@ class Machine:
         self.comm_latency_s = comm_latency_s
         self._channels: Dict[Tuple[int, int], queue.Queue] = {}
         self._channel_lock = threading.Lock()
-        self.collective = _Collective(nprocs, self.recv_timeout_s)
+        #: set once any rank fails; blocked receives and collectives
+        #: wake and raise :meth:`abandoned` instead of waiting out
+        #: their timeout on a peer that will never answer.
+        self.abort = threading.Event()
+        #: ``(rank, error)`` in the order the ranks failed.
+        self.failures: List[Tuple[int, BaseException]] = []
+        self.collective = _Collective(self)
 
     def channel_occupancy(self, dest: int) -> Dict[int, int]:
         """Pending inbound message counts for ``dest``, by source rank."""
@@ -241,33 +251,98 @@ class Machine:
 
     def get_message(self, src, dest, tag):
         try:
-            ready_at, got_tag, indices, data = self.channel(src, dest).get(
-                timeout=self.recv_timeout_s
+            # Once the run is aborted only what is already queued is
+            # delivered; ``None`` is the wake-up ``abort_run`` queues.
+            message = self.channel(src, dest).get(
+                timeout=0 if self.abort.is_set() else self.recv_timeout_s
             )
-            delay = ready_at - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            return got_tag, indices, data
         except queue.Empty:
-            raise RecvTimeoutError(
-                f"rank {dest} timed out receiving {tag!r} from {src} "
-                f"after {self.recv_timeout_s:g}s",
-                diagnostics=[
-                    RankDiagnostics(
-                        rank=dest,
-                        phase="recv",
-                        detail=(
-                            f"blocked on tag {tag!r} from rank {src}; "
-                            "pending inbound messages by source: "
-                            f"{self.channel_occupancy(dest) or 'none'}"
-                        ),
-                        ring_occupancy=self.channel_occupancy(dest),
-                    )
-                ],
-            ) from None
+            if not self.abort.is_set():
+                raise RecvTimeoutError(
+                    f"rank {dest} timed out receiving {tag!r} from {src} "
+                    f"after {self.recv_timeout_s:g}s",
+                    diagnostics=[
+                        RankDiagnostics(
+                            rank=dest,
+                            phase="recv",
+                            detail=(
+                                f"blocked on tag {tag!r} from rank {src}; "
+                                "pending inbound messages by source: "
+                                f"{self.channel_occupancy(dest) or 'none'}"
+                            ),
+                            ring_occupancy=self.channel_occupancy(dest),
+                        )
+                    ],
+                ) from None
+            message = None
+        if message is None:
+            raise self.abandoned(
+                dest, "recv", f"receive of {tag!r} from {src}"
+            )
+        ready_at, got_tag, indices, data = message
+        delay = ready_at - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        return got_tag, indices, data
 
     def combine(self, rank: int, value, op):
-        return self.collective.combine(value, op, rank)
+        return self.collective.combine(rank, value, op)
+
+    # -- failure: abort the run, report the root cause --------------------------
+
+    def abort_run(self) -> None:
+        """Wake every rank blocked in a receive or at the rendezvous."""
+        self.abort.set()
+        with self._channel_lock:
+            channels = list(self._channels.values())
+        for chan in channels:
+            chan.put(None)
+        with self.collective.lock:
+            self.collective.lock.notify_all()
+
+    def fail(self, rank: int, error: BaseException) -> None:
+        """Record that ``rank`` failed with ``error`` and abort the run."""
+        self.failures.append((rank, error))
+        self.abort_run()
+
+    def abandoned(self, rank: int, phase: str, what: str) -> RecvTimeoutError:
+        """The error a rank blocked on an aborted run wakes up with."""
+        return RecvTimeoutError(
+            f"rank {rank}: {what} abandoned — the run was aborted "
+            "after a peer failure",
+            diagnostics=[
+                RankDiagnostics(
+                    rank=rank,
+                    phase=phase,
+                    detail="woken by the run's abort flag while blocked",
+                )
+            ],
+        )
+
+    def raise_failure(self, runtimes) -> None:
+        """Raise the recorded failure the caller should see, if any."""
+        # Application crashes take precedence over CommunicationErrors:
+        # a dead rank usually *causes* its peers' receive timeouts, and
+        # the root cause is what the caller should see.
+        for rank, error in sorted(self.failures, key=lambda f: f[0]):
+            if isinstance(error, CommunicationError):
+                continue
+            raise RankCrashError(
+                f"rank {rank} failed: {error!r}",
+                diagnostics=[
+                    RankDiagnostics(
+                        rank=rank,
+                        phase=runtimes[rank].phase,
+                        detail=f"{type(error).__name__}: {error}",
+                        trace_tail=trace_tail(runtimes[rank].trace),
+                    )
+                ],
+            ) from error
+        if self.failures:
+            # Typed failures travel unchanged.  The first rank to fail
+            # decides what the caller sees: every later one was woken
+            # by the abort that failure raised.
+            raise self.failures[0][1]
 
     def run(
         self,
@@ -276,13 +351,12 @@ class Machine:
     ) -> List[RankResult]:
         """Execute ``node_main`` on every rank; returns per-rank results."""
         runtimes = [make_runtime(rank, self) for rank in range(self.nprocs)]
-        errors: List[Optional[BaseException]] = [None] * self.nprocs
 
         def runner(rank: int) -> None:
             try:
                 node_main(runtimes[rank])
             except BaseException as exc:  # surface to the caller
-                errors[rank] = exc
+                self.fail(rank, exc)
 
         threads = [
             threading.Thread(target=runner, args=(rank,), daemon=True)
@@ -312,28 +386,7 @@ class Machine:
                     for rank in stuck
                 ],
             )
-        # Application crashes take precedence over CommunicationErrors:
-        # a dead rank usually *causes* its peers' receive timeouts, and
-        # the root cause is what the caller should see.
-        for rank, error in enumerate(errors):
-            if error is None or isinstance(error, CommunicationError):
-                continue
-            raise RankCrashError(
-                f"rank {rank} failed: {error!r}",
-                diagnostics=[
-                    RankDiagnostics(
-                        rank=rank,
-                        phase=runtimes[rank].phase,
-                        detail=f"{type(error).__name__}: {error}",
-                        trace_tail=trace_tail(runtimes[rank].trace),
-                    )
-                ],
-            ) from error
-        for error in errors:
-            if error is not None:
-                # Typed failures travel unchanged: the first failing
-                # rank (in rank order) decides what the caller sees.
-                raise error
+        self.raise_failure(runtimes)
         return [
             RankResult(
                 rt.rank, rt.arrays, rt.scalars, rt.trace, rt.env

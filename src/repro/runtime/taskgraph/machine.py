@@ -17,14 +17,11 @@ Two more things the scheduler needs from its transport:
   ready-at timestamp and a receive blocks until it passes.  The threads
   machine honors the same knob, so overlap benchmarks compare the two
   backends under identical communication cost.
-* **Abort awareness**: when any unit fails the scheduler aborts the run;
-  blocked receives and collectives wake up promptly with a
-  :class:`RecvTimeoutError` instead of waiting out their full timeout.
+* **Abort awareness**: the inherited :meth:`Machine.abort_run` also
+  wakes receives blocked on the mailbox condition, so a failed unit
+  ends the run promptly here as on ``threads``.
 
-Collectives combine rank values in ascending rank order — a fixed,
-deterministic order (the threads machine combines in arrival order,
-which for the reductions the suite uses — ``max``/``min`` and integer
-sums — is bitwise-identical anyway).
+Collectives are the inherited rendezvous unchanged.
 """
 
 from __future__ import annotations
@@ -38,9 +35,6 @@ from ..errors import RankDiagnostics, RecvTimeoutError
 from ..machine import Machine
 
 __all__ = ["TaskMachine"]
-
-#: wake-up granularity for abort checks while blocked (seconds).
-_POLL_S = 0.05
 
 
 class TaskMachine(Machine):
@@ -64,7 +58,6 @@ class TaskMachine(Machine):
         #: safe without extra locking because the scheduler runs at most
         #: one unit per rank at a time.
         self._instance = [0] * nprocs
-        self.abort = threading.Event()
 
     # -- scheduler hooks ----------------------------------------------------
 
@@ -120,21 +113,12 @@ class TaskMachine(Machine):
                     if ready_at <= now:
                         _ready, got_tag, indices, data = box.popleft()
                         return got_tag, indices, data
-                    wait = min(_POLL_S, ready_at - now, deadline - now)
+                    wait = min(ready_at - now, deadline - now)
                 else:
-                    wait = min(_POLL_S, deadline - now)
+                    wait = deadline - now
                 if self.abort.is_set():
-                    raise RecvTimeoutError(
-                        f"rank {dest}: receive of {tag!r} from {src} "
-                        "abandoned — the run was aborted after a peer "
-                        "failure",
-                        diagnostics=[
-                            RankDiagnostics(
-                                rank=dest,
-                                phase="recv",
-                                detail="scheduler abort while blocked",
-                            )
-                        ],
+                    raise self.abandoned(
+                        dest, "recv", f"receive of {tag!r} from {src}"
                     )
                 if wait <= 0:
                     raise RecvTimeoutError(
@@ -156,52 +140,7 @@ class TaskMachine(Machine):
                     )
                 self._cv.wait(timeout=wait)
 
-    # -- collectives --------------------------------------------------------
-
-    def combine(self, rank: int, value, op):
-        cv = self._cv
-        deadline = time.monotonic() + self.recv_timeout_s
-        with cv:
-            generation = self.collective.generation
-            self.collective.values.append((rank, value))
-            if len(self.collective.values) == self.nprocs:
-                ordered = [
-                    v for _r, v in sorted(self.collective.values)
-                ]
-                self.collective.result = op(ordered)
-                self.collective.values = []
-                self.collective.generation += 1
-                cv.notify_all()
-                return self.collective.result
-            while self.collective.generation == generation:
-                if self.abort.is_set():
-                    raise RecvTimeoutError(
-                        f"rank {rank}: collective abandoned — the run "
-                        "was aborted after a peer failure",
-                        diagnostics=[
-                            RankDiagnostics(
-                                rank=rank,
-                                phase="collective",
-                                detail="scheduler abort at the rendezvous",
-                            )
-                        ],
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    arrived = len(self.collective.values)
-                    raise RecvTimeoutError(
-                        "collective timed out after "
-                        f"{self.recv_timeout_s:g}s",
-                        diagnostics=[
-                            RankDiagnostics(
-                                rank=rank,
-                                phase="collective",
-                                detail=(
-                                    f"{arrived}/{self.nprocs} ranks had "
-                                    "arrived at the rendezvous"
-                                ),
-                            )
-                        ],
-                    )
-                cv.wait(timeout=min(_POLL_S, remaining))
-            return self.collective.result
+    def abort_run(self) -> None:
+        super().abort_run()
+        with self._cv:
+            self._cv.notify_all()

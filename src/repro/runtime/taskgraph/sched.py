@@ -19,10 +19,10 @@ necessary but not sufficient to run:
   last message's ready-at stamp passes.  This is the mechanism that
   converts receive *blocking* time into useful compute time.
 
-Failure semantics mirror :meth:`Machine.run`: the first failing unit
-aborts the run (no new units dispatched, blocked transport calls wake
-via ``machine.abort``), application crashes take precedence over
-communication errors, and ties break in rank order.  Every worker thread
+Failure semantics are :meth:`Machine.run`'s own: the first failing unit
+aborts the run (no new units dispatched; ``machine.fail`` wakes blocked
+transport calls) and ``machine.raise_failure`` picks what the caller
+sees.  Every worker thread
 is joined before :meth:`TaskScheduler.run` returns — including on the
 error paths — so chaos tests can assert zero leaked threads.
 """
@@ -36,13 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..errors import (
-    CommunicationError,
-    RankCrashError,
-    RankDiagnostics,
-    RunTimeoutError,
-    trace_tail,
-)
+from ..errors import RankDiagnostics, RunTimeoutError, trace_tail
 from .plan import TaskPlan
 
 __all__ = ["SchedulerStats", "TaskScheduler"]
@@ -125,10 +119,8 @@ class TaskScheduler:
         self._rank_busy = [False] * plan.nprocs
         self._rank_pending: List[deque] = [deque() for _ in range(plan.nprocs)]
         self._parked: List = []  # heap of (ready_time, uid)
-        self._abort = False
         self._executed = 0
         self._ready_count = 0
-        self._errors: List[Optional[BaseException]] = [None] * plan.nprocs
         self._durations = [0.0] * len(plan.units)
         self._rank_busy_s = [0.0] * plan.nprocs
         self._steals = 0
@@ -172,7 +164,8 @@ class TaskScheduler:
         """Next runnable unit for ``worker``; None means shut down."""
         with self._cv:
             while True:
-                if self._abort or self._executed >= len(self.plan.units):
+                if (self.machine.abort.is_set()
+                        or self._executed >= len(self.plan.units)):
                     return None
                 now = time.monotonic()
                 self._release_parked(now, worker)
@@ -248,11 +241,8 @@ class TaskScheduler:
             self._rank_busy[unit.rank] = False
             self._executed += 1
             if error is not None:
-                if self._errors[unit.rank] is None:
-                    self._errors[unit.rank] = error
-                self._abort = True
-                self.machine.abort.set()
-            elif not self._abort:
+                self.machine.fail(unit.rank, error)
+            elif not self.machine.abort.is_set():
                 for succ in self._succs[uid]:
                     self._indeg[succ] -= 1
                     if self._indeg[succ] == 0:
@@ -290,8 +280,7 @@ class TaskScheduler:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         if any(thread.is_alive() for thread in threads):
             with self._cv:
-                self._abort = True
-                self.machine.abort.set()
+                self.machine.abort_run()
                 self._cv.notify_all()
             for thread in threads:  # wake-up is prompt; reap them all
                 thread.join(timeout=5.0 + self.run_timeout_s)
@@ -313,29 +302,8 @@ class TaskScheduler:
                 ]
                 or None,
             )
-        self._raise_errors()
+        self.machine.raise_failure(self.runtimes)
         return self._stats()
-
-    def _raise_errors(self) -> None:
-        # Mirrors Machine.run: application crashes outrank the
-        # CommunicationErrors they usually cause; rank order breaks ties.
-        for rank, error in enumerate(self._errors):
-            if error is None or isinstance(error, CommunicationError):
-                continue
-            raise RankCrashError(
-                f"rank {rank} failed: {error!r}",
-                diagnostics=[
-                    RankDiagnostics(
-                        rank=rank,
-                        phase=self.runtimes[rank].phase,
-                        detail=f"{type(error).__name__}: {error}",
-                        trace_tail=trace_tail(self.runtimes[rank].trace),
-                    )
-                ],
-            ) from error
-        for error in self._errors:
-            if error is not None:
-                raise error
 
     # -- reporting ----------------------------------------------------------
 

@@ -89,6 +89,11 @@ def test_run_unknown_backend_rejected(program_file):
         ])
 
 
+def test_run_zero_nprocs_rejected(program_file):
+    with pytest.raises(SystemExit, match="nprocs must be at least 1"):
+        main(["run", program_file, "--nprocs", "0", "--param", "n=17"])
+
+
 def test_run_with_options(program_file, capsys):
     code = main([
         "run", program_file, "--nprocs", "2", "--param", "n=17",

@@ -6,12 +6,13 @@ rank crash) are exercised on *every* backend without paying for a
 compile.
 """
 
+import time
 import typing
 
 import numpy as np
 import pytest
 
-from repro.runtime import RunStatistics, Trace
+from repro.runtime import RankCrashError, RunStatistics, Trace
 from repro.runtime.backends import (
     ExecutionBackend,
     LaunchSpec,
@@ -114,7 +115,7 @@ def node_main(rt):
 """
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS + ("taskgraph",))
 class TestEveryBackend:
     def test_point_to_point_roundtrip(self, backend):
         launch = get_backend(backend).launch(_spec(ROUNDTRIP, 2))
@@ -134,15 +135,19 @@ class TestEveryBackend:
 
     def test_tag_mismatch_surfaces(self, backend):
         with pytest.raises(CommunicationError):
-            get_backend(backend).launch(_spec(TAG_MISMATCH, 2))
+            get_backend(backend).launch(_spec(TAG_MISMATCH, 2, 0.4))
 
     def test_deadlock_surfaces_not_hangs(self, backend):
         with pytest.raises(CommunicationError):
-            get_backend(backend).launch(_spec(DEADLOCK, 2))
+            get_backend(backend).launch(_spec(DEADLOCK, 2, 0.4))
 
     def test_rank_crash_surfaces(self, backend):
-        with pytest.raises(CommunicationError):
-            get_backend(backend).launch(_spec(CRASH, 2))
+        """The crash is reported when it happens, not after the
+        surviving rank has waited out its receive timeout."""
+        start = time.monotonic()
+        with pytest.raises(RankCrashError):
+            get_backend(backend).launch(_spec(CRASH, 2, 5.0))
+        assert time.monotonic() - start < 2.0
 
 
 RELAUNCH = """

@@ -259,6 +259,15 @@ def node_main(rt):
 """
 
 
+def _cell_spec(plan, want):
+    """A cell that ends in a receive timeout waits that timeout out in
+    full (the message really is missing), so it gets a short one."""
+    return _spec(
+        COLLECTIVE_TAIL, 2, plan=plan,
+        recv_timeout_s=0.4 if want is RecvTimeoutError else 1.0,
+    )
+
+
 @pytest.fixture(scope="module")
 def reference_results():
     """Clean inproc-seq run of the matrix program — the golden answer."""
@@ -275,8 +284,8 @@ class TestChaosMatrix:
         self, backend, name, text, expected, reference_results, leak_check
     ):
         plan = FaultPlan.parse(text, seed=13)
-        spec = _spec(COLLECTIVE_TAIL, 2, plan=plan)
         want = expected[backend]
+        spec = _cell_spec(plan, want)
         if want is None:
             launch = get_backend(backend).launch(spec)
             # a benign fault must never corrupt results silently
@@ -305,7 +314,7 @@ class TestChaosMatrix:
         for _ in range(2):
             with pytest.raises(expected[backend]):
                 get_backend(backend).launch(
-                    _spec(COLLECTIVE_TAIL, 2, plan=plan)
+                    _cell_spec(plan, expected[backend])
                 )
             outcomes.append(expected[backend].__name__)
         assert outcomes[0] == outcomes[1]
@@ -340,7 +349,9 @@ class TestRecvTimeoutParity:
         self, backend, leak_check
     ):
         with pytest.raises(RecvTimeoutError) as info:
-            get_backend(backend).launch(_spec(DEADLOCK, 2))
+            get_backend(backend).launch(
+                _spec(DEADLOCK, 2, recv_timeout_s=0.4)
+            )
         err = info.value
         assert err.diagnostics, "timeout carried no diagnostics"
         diag = err.diagnostics[0]
@@ -355,7 +366,7 @@ class TestRunTimeout:
     @pytest.mark.parametrize("backend", ("threads", "mp"))
     def test_wedged_rank_hits_run_deadline(self, backend, leak_check):
         spec = _spec(
-            SLOW_RANK, 2, recv_timeout_s=30.0, run_timeout_s=1.5
+            SLOW_RANK, 2, recv_timeout_s=30.0, run_timeout_s=0.5
         )
         with pytest.raises(RunTimeoutError) as info:
             get_backend(backend).launch(spec)
@@ -381,7 +392,7 @@ class TestMpCleanup:
     def test_run_timeout_unlinks_shm_and_reaps_children(self):
         before = _shm_segments()
         spec = _spec(
-            SLOW_RANK, 2, recv_timeout_s=30.0, run_timeout_s=1.0
+            SLOW_RANK, 2, recv_timeout_s=30.0, run_timeout_s=0.5
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
