@@ -607,8 +607,15 @@ def main(argv=None) -> int:
     _add_option_flags(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 
+    from .isets.errors import ParseError
+
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, OSError) as exc:
+        # Bad set expression, missing file, no server: the user's mistake.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,12 +2,8 @@
 
 The paper's premise (its Table 1) is that integer-set manipulation stays a
 bounded fraction of compile time; this subsystem makes repeated set
-manipulation *cheap* instead of merely bounded.  Three layers:
+manipulation *cheap* instead of merely bounded.  Two layers:
 
-* :mod:`repro.cache.intern` — hash-consing: stable structural keys for
-  :class:`~repro.isets.linexpr.LinExpr` / ``Constraint`` / ``Conjunct`` /
-  ``IntegerSet`` / ``IntegerMap``, plus canonical (interned) conjunct
-  instances so structurally identical pieces share storage and cached keys;
 * :mod:`repro.cache.manager` — a unified registry of named, size-bounded
   LRU caches with hit/miss/eviction counters, used to memoize the hot pure
   ``isets`` operations (conjunct emptiness, redundancy removal, projection,
@@ -22,13 +18,6 @@ uncached A/B path that must produce byte-identical emitted programs.
 """
 
 from .manager import CacheManager, CacheStats, LRUCache, caches, reset_caches
-from .intern import (
-    conjunct_key,
-    constraint_key,
-    intern_conjunct,
-    linexpr_key,
-    presburger_key,
-)
 from .persist import (
     CompileCache,
     compute_fingerprint,
@@ -42,11 +31,6 @@ __all__ = [
     "LRUCache",
     "caches",
     "compute_fingerprint",
-    "conjunct_key",
-    "constraint_key",
     "default_cache_dir",
-    "intern_conjunct",
-    "linexpr_key",
-    "presburger_key",
     "reset_caches",
 ]

@@ -10,21 +10,20 @@ dictionaries it replaced could not provide:
 * **observability** — per-cache hit/miss/eviction counters, snapshot/delta
   support so the compile driver can report per-compile hit rates in the
   Table 1 phase tables;
-* **control** — ``caches.reset()`` between test modules, and
-  ``caches.disabled()`` for the uncached A/B path behind
-  ``CompilerOptions(caching="off")``.
+* **control** — ``caches.reset()`` between test modules.
 
-This module is dependency-free (no ``isets`` imports) so every layer of
-the system can use it without cycles.
+Whether a lookup happens at all is not decided here: the set engine's
+gate (:func:`repro.isets.profile.gate`) bypasses every LRU on the
+``CompilerOptions(caching="off")`` reference arm.  This package imports
+nothing from ``isets``, so every layer can use it without cycles.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Hashable, Tuple
 
 _MISSING = object()
 
@@ -84,18 +83,19 @@ class LRUCache:
             self.hits += 1
             return True, value
 
-    def put(self, key: Hashable, value: object) -> int:
-        """Insert ``key``; returns how many entries were evicted to fit."""
+    def _insert(self, key: Hashable, value: object) -> None:
+        """Store ``key`` and evict to fit; the caller holds the lock."""
+        self._data[key] = value
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self.evictions += 1
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert (or refresh) ``key`` as the most recently used entry."""
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-            self._data[key] = value
-            evicted = 0
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-            return evicted
+            self._insert(key, value)
 
     def memoize(self, key: Hashable, compute: Callable[[], object]) -> object:
         """Return the cached value for ``key``, computing it on a miss.
@@ -127,10 +127,7 @@ class LRUCache:
                 self.hits += 1
                 return existing
             self.misses += 1
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            self._insert(key, value)
             return value
 
     def clear(self) -> None:
@@ -156,33 +153,31 @@ class LRUCache:
 
 
 class CacheManager:
-    """Registry of named LRU caches plus a global enable switch."""
+    """Registry of named LRU caches."""
 
     def __init__(self):
         self._caches: Dict[str, LRUCache] = {}
-        # Per-thread disable depth: a compile server thread running the
-        # caching="off" A/B path must not turn memoization off for the
-        # caching="on" compiles running concurrently in sibling threads.
-        self._local = threading.local()
         self._lock = threading.Lock()
-
-    @property
-    def _disabled_depth(self) -> int:
-        return getattr(self._local, "depth", 0)
-
-    @_disabled_depth.setter
-    def _disabled_depth(self, value: int) -> None:
-        self._local.depth = value
 
     # -- registration ------------------------------------------------------
 
     def register(self, name: str, maxsize: int = 4096) -> LRUCache:
-        """Create (or return the existing) cache called ``name``."""
+        """Create (or return the existing) cache called ``name``.
+
+        A name is one process-wide cache with one bound: re-registering it
+        with a different ``maxsize`` raises instead of silently handing a
+        second owner the first one's cache.
+        """
         with self._lock:
             cache = self._caches.get(name)
             if cache is None:
                 cache = LRUCache(name, maxsize)
                 self._caches[name] = cache
+            elif cache.maxsize != maxsize:
+                raise ValueError(
+                    f"cache {name!r} is already registered with maxsize "
+                    f"{cache.maxsize}, not {maxsize}"
+                )
             return cache
 
     def __getitem__(self, name: str) -> LRUCache:
@@ -193,33 +188,6 @@ class CacheManager:
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._caches))
-
-    # -- memoization -------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self._disabled_depth == 0
-
-    @contextmanager
-    def disabled(self) -> Iterator[None]:
-        """Bypass every cache inside the block (the ``caching="off"`` path).
-
-        Re-entrant, and scoped to the *calling thread*: concurrent
-        compiles in other threads keep memoizing.  Lookups neither read,
-        write, nor count while disabled.
-        """
-        self._disabled_depth += 1
-        try:
-            yield
-        finally:
-            self._disabled_depth -= 1
-
-    def memoize(
-        self, cache: LRUCache, key: Hashable, compute: Callable[[], object]
-    ) -> object:
-        if self._disabled_depth:
-            return compute()
-        return cache.memoize(key, compute)
 
     # -- observability -----------------------------------------------------
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..isets import Conjunct, IntegerSet, Space
+from ..isets.profile import active_profiler, profiled, reference_arm
 from ..hpf.layout import DataMapping
 from ..lang.ast import Program
 from ..lang.parser import parse_program
@@ -135,8 +136,6 @@ def compile_program(
     With ``options.cache_dir`` set and string source, the persistent
     compile cache is consulted first and populated on a miss.
     """
-    from ..cache.manager import caches
-
     options = options or CompilerOptions()
     if options.caching not in ("on", "off"):
         raise ValueError(
@@ -149,7 +148,7 @@ def compile_program(
             f"got {options.compute!r}"
         )
     if options.caching == "off":
-        with caches.disabled():
+        with reference_arm(memo_off=True):
             return _compile_program_impl(source, options)
 
     if options.cache_dir and isinstance(source, str):
@@ -173,10 +172,7 @@ def _compile_program_impl(
     options: CompilerOptions,
 ) -> CompiledProgram:
     if options.profile_sets:
-        from ..isets.profile import SetOpProfiler, active_profiler, profiled
-
-        profiler = SetOpProfiler()
-        with profiled(profiler):
+        with profiled() as profiler:
             compiled = _compile_unprofiled(source, options)
         snapshot = profiler.snapshot()
         compiled.phases.set_stats = snapshot

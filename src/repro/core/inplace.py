@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..cache.intern import presburger_key
 from ..cache.manager import caches
 from ..isets import (
     Answer,
@@ -31,7 +30,8 @@ from ..isets import (
     is_singleton_1d,
     spans_full_range,
 )
-from ..isets.profile import timed
+from ..isets.ops import presburger_key
+from ..isets.profile import gate
 
 # Grounded verdicts of the run-time half, keyed structurally (the check's
 # two sets + the binding of the symbols they mention): a launch asks the
@@ -202,14 +202,17 @@ def evaluate_at_runtime(result: InPlaceResult, env) -> bool:
         presburger_key(array_bounds),
         tuple(binding.items()),
     )
-    return caches.memoize(
-        _RUNTIME_VERDICTS,
-        key,
-        lambda: timed(
+    # Memoized outside, timed inside: the op counts *evaluations*, so a
+    # relaunch on a warm memo reports none.
+    return gate(
+        None,
+        lambda: gate(
             "inplace.evaluate_at_runtime",
             lambda: _grounded_verdict(comm_set, array_bounds, binding),
             len(comm_set.conjuncts),
         ),
+        memo=_RUNTIME_VERDICTS.memoize,
+        key=key,
     )
 
 

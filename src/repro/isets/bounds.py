@@ -11,14 +11,13 @@ candidate.
 from __future__ import annotations
 
 import itertools
-import threading
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cache.manager import caches
 from .constraint import EQ, GEQ, Constraint, ceil_div, floor_div
 from .conjunct import Conjunct
 from .linexpr import LinExpr
+from .profile import gate
 
 
 def relax_equalities(constraints: Iterable[Constraint]) -> List[Constraint]:
@@ -186,28 +185,6 @@ _UNBOUNDED: Tuple[Optional[int], Optional[int]] = (None, None)
 #: same context conjunct is re-presolved by every redundancy query against
 #: it, so the hit rate on compile workloads is very high.
 _PRESOLVE = caches.register("isets.presolve", maxsize=100_000)
-
-_presolve_tls = threading.local()
-
-
-def presolve_enabled() -> bool:
-    """Presolve on/off switch (A/B gate for the byte-identity argument).
-
-    Disabled per-thread via :func:`presolve_disabled` — used by
-    ``scripts/cache_roundtrip.py`` to assert presolve-on and presolve-off
-    compiles emit identical bytes.
-    """
-    return not getattr(_presolve_tls, "disabled", 0)
-
-
-@contextmanager
-def presolve_disabled() -> Iterator[None]:
-    """Run the block with the presolve engine off (calling thread only)."""
-    _presolve_tls.disabled = getattr(_presolve_tls, "disabled", 0) + 1
-    try:
-        yield
-    finally:
-        _presolve_tls.disabled -= 1
 
 
 class PresolveResult:
@@ -499,28 +476,29 @@ def presolve_constraints(
     )
 
 
-def presolve_conjunct(conjunct: Conjunct) -> PresolveResult:
-    """Memoized :func:`presolve_constraints` over a conjunct's system.
-
-    Two levels: a slot on the conjunct object itself (every redundancy
-    query against a context re-presolves it, and the repeat calls hit the
-    same object — the slot avoids even hashing the constraint tuple), then
-    the shared LRU keyed on the exact constraint tuple (wildcard names
-    participate via the constraints themselves).  The result is a pure
-    function of the key.
-    """
-    if not caches.enabled:
-        return presolve_constraints(conjunct.constraints)
+def _slot_then_lru(conjunct: Conjunct, compute) -> PresolveResult:
+    """Two-level memo of :func:`presolve_conjunct`: a slot on the conjunct
+    itself (every redundancy query against a context re-presolves the same
+    object; the slot avoids even hashing), then the shared LRU keyed on the
+    constraint tuple alone — all the verdict reads (wildcard names
+    participate via the constraints themselves)."""
     try:
         return conjunct._presolve
     except AttributeError:
-        pass
-    result = _PRESOLVE.memoize(
-        conjunct.constraints,
+        result = conjunct._presolve = _PRESOLVE.memoize(
+            conjunct.constraints, compute
+        )
+        return result
+
+
+def presolve_conjunct(conjunct: Conjunct) -> PresolveResult:
+    """Memoized :func:`presolve_constraints` over a conjunct's system."""
+    return gate(
+        None,
         lambda: presolve_constraints(conjunct.constraints),
+        memo=_slot_then_lru,
+        key=conjunct,
     )
-    conjunct._presolve = result
-    return result
 
 
 def presolve_disjoint(a: Conjunct, b: Conjunct) -> bool:

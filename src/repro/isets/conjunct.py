@@ -15,12 +15,37 @@ from .linexpr import ExprLike, LinExpr
 from .space import fresh_name
 
 
+class _ExactKey:
+    """Order-exact memo key with a cached hash (see :meth:`Conjunct.exact_key`).
+
+    A raw ``(constraints, wildcards)`` tuple re-hashes every constraint on
+    every dict operation (tuples do not cache their hash); compile
+    workloads do hundreds of thousands of memo lookups against conjuncts
+    with dozens of constraints, so the re-hash showed up as millions of
+    ``Constraint.__hash__`` calls in profiles.  The wrapper hashes once.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple):
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(other) is _ExactKey and self.value == other.value
+        )
+
+
 class Conjunct:
     """An existentially quantified conjunction of affine constraints."""
 
     # ``_key`` caches the alpha-canonical dedup key; ``_ekey`` the
-    # order-exact memo key (a hash-caching wrapper built by omega.py);
-    # ``_presolve`` the per-object presolve verdict (bounds.py).
+    # order-exact memo key; ``_presolve`` the per-object presolve verdict
+    # (bounds.py).
     __slots__ = ("constraints", "wildcards", "_key", "_ekey", "_presolve")
 
     def __init__(
@@ -147,6 +172,18 @@ class Conjunct:
             key = (frozenset(canon.constraints), len(self.wildcards))
         self._key = key
         return key
+
+    def exact_key(self) -> _ExactKey:
+        """The one exact memo/interning key: constraint order and wildcard
+        names included, so a cached *transformation* of this conjunct is
+        byte-for-byte what a fresh computation would produce (it
+        distinguishes alpha-variants on purpose; :meth:`key` does not).
+        Cached on the instance."""
+        try:
+            return self._ekey
+        except AttributeError:
+            key = self._ekey = _ExactKey((self.constraints, self.wildcards))
+            return key
 
     def __getstate__(self):
         return (self.constraints, self.wildcards)

@@ -20,20 +20,13 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from time import perf_counter as _clock
-
 from ..cache.manager import caches
-from .bounds import (
-    interval_implied,
-    interval_width,
-    presolve_conjunct,
-    presolve_enabled,
-)
+from .bounds import interval_implied, interval_width, presolve_conjunct
 from .constraint import EQ, GEQ, Constraint, ceil_div, floor_div
 from .conjunct import Conjunct
 from .errors import InexactOperationError
 from .linexpr import LinExpr
-from .profile import active_profiler, record_event
+from .profile import gate, presolve_on, record_event
 from .space import fresh_name
 
 # Safety valve: exact projection of pathological conjuncts can splinter; the
@@ -53,39 +46,8 @@ _REDUNDANCY = caches.register("isets.redundancy", maxsize=100_000)
 _PROJECTION = caches.register("isets.projection", maxsize=50_000)
 
 
-class _ExactKey:
-    """Order-exact memo key with a cached hash.
-
-    A raw ``(constraints, wildcards)`` tuple re-hashes every constraint on
-    every dict operation (tuples do not cache their hash); compile
-    workloads do hundreds of thousands of memo lookups against conjuncts
-    with dozens of constraints, so the re-hash showed up as millions of
-    ``Constraint.__hash__`` calls in profiles.  The wrapper hashes once
-    and is cached on the conjunct itself.
-    """
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value: tuple):
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is _ExactKey and self.value == other.value
-        )
-
-
-def _exact_key(conjunct: Conjunct) -> _ExactKey:
-    try:
-        return conjunct._ekey
-    except AttributeError:
-        key = _ExactKey((conjunct.constraints, conjunct.wildcards))
-        conjunct._ekey = key
-        return key
+def _constraint_count(result: Optional[Conjunct]) -> int:
+    return 0 if result is None else len(result.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +62,14 @@ def normalize(conjunct: Conjunct) -> Optional[Conjunct]:
     Returns ``None`` when the conjunct is unsatisfiable on structural
     grounds.
     """
-    profiler = active_profiler()
-    if profiler is None:
-        if not caches.enabled:
-            return _normalize_uncached(conjunct)
-        return _NORMALIZE.memoize(
-            _exact_key(conjunct), lambda: _normalize_uncached(conjunct)
-        )
-    start = _clock()
-    if not caches.enabled:
-        result = _normalize_uncached(conjunct)
-    else:
-        result = _NORMALIZE.memoize(
-            _exact_key(conjunct), lambda: _normalize_uncached(conjunct)
-        )
-    profiler.record(
+    return gate(
         "normalize",
-        _clock() - start,
+        lambda: _normalize_uncached(conjunct),
         len(conjunct.constraints),
-        0 if result is None else len(result.constraints),
+        _constraint_count,
+        memo=_NORMALIZE.memoize,
+        key=conjunct.exact_key(),
     )
-    return result
 
 
 def _normalize_uncached(conjunct: Conjunct) -> Optional[Conjunct]:
@@ -388,7 +337,7 @@ def eliminate_variable(
     # shadow-combination list, so it sits behind the byte-identity gate in
     # ``scripts/cache_roundtrip.py`` (DESIGN §14) and behind the presolve
     # kill switch.
-    if presolve_enabled():
+    if presolve_on():
         pre = presolve_conjunct(prepared)
         if not pre.empty:
             value = pre.pinned.get(var)
@@ -472,32 +421,14 @@ def project_out(
     byte-stable, which every path whose conjuncts can reach emitted
     artifacts requires.
     """
-    profiler = active_profiler()
-    if profiler is None:
-        if not caches.enabled:
-            return _project_out_uncached(conjunct, names, approximate)
-        key = (_exact_key(conjunct), tuple(names), approximate)
-        cached = _PROJECTION.memoize(
-            key,
-            lambda: _project_out_uncached(conjunct, names, approximate),
-        )
-        return list(cached)
-    start = _clock()
-    if not caches.enabled:
-        result = _project_out_uncached(conjunct, names, approximate)
-    else:
-        key = (_exact_key(conjunct), tuple(names), approximate)
-        result = list(_PROJECTION.memoize(
-            key,
-            lambda: _project_out_uncached(conjunct, names, approximate),
-        ))
-    profiler.record(
+    return list(gate(
         "project_out",
-        _clock() - start,
+        lambda: _project_out_uncached(conjunct, names, approximate),
         len(conjunct.constraints),
-        len(result),
-    )
-    return result
+        len,
+        memo=_PROJECTION.memoize,
+        key=(conjunct.exact_key(), tuple(names), approximate),
+    ))
 
 
 def _project_out_uncached(
@@ -612,11 +543,11 @@ def _quick_feasibility(conjunct: Conjunct) -> Optional[bool]:
     (:func:`~.bounds.presolve_conjunct`): single-variable constraints seed
     the windows, then fixpoint rounds over the multi-variable constraints
     tighten them (see DESIGN §14).  Under
-    :func:`~.bounds.presolve_disabled` a single seed-plus-check pass runs
+    ``reference_arm(presolve_off=True)`` a single seed-plus-check pass runs
     instead — the pre-presolve behaviour, kept as the A/B baseline for
     the byte-identity gate in ``scripts/cache_roundtrip.py``.
     """
-    if presolve_enabled():
+    if presolve_on():
         pre = presolve_conjunct(conjunct)
         if pre.rounds:
             record_event("presolve.rounds", pre.rounds)
@@ -813,26 +744,13 @@ def is_empty_conjunct(conjunct: Conjunct) -> bool:
     ``isets.emptiness`` cache — this replaced a module-global dict that
     grew to 200k entries, never evicted, and leaked state across tests.
     """
-    profiler = active_profiler()
-    if profiler is None:
-        if not caches.enabled:
-            return _is_empty_conjunct_uncached(conjunct)
-        return _EMPTINESS.memoize(
-            conjunct.key(), lambda: _is_empty_conjunct_uncached(conjunct)
-        )
-    start = _clock()
-    if not caches.enabled:
-        result = _is_empty_conjunct_uncached(conjunct)
-    else:
-        result = _EMPTINESS.memoize(
-            conjunct.key(), lambda: _is_empty_conjunct_uncached(conjunct)
-        )
-    profiler.record(
+    return gate(
         "is_empty_conjunct",
-        _clock() - start,
+        lambda: _is_empty_conjunct_uncached(conjunct),
         len(conjunct.constraints),
+        memo=_EMPTINESS.memoize,
+        key=conjunct.key(),
     )
-    return result
 
 
 def _is_empty_conjunct_uncached(conjunct: Conjunct) -> bool:
@@ -855,7 +773,7 @@ def _is_empty_conjunct_uncached(conjunct: Conjunct) -> bool:
                 continue
             return False
         intervals = None
-        if presolve_enabled():
+        if presolve_on():
             pre = presolve_conjunct(current)
             if pre.empty:
                 continue
@@ -896,28 +814,13 @@ def constraint_redundant(conjunct: Conjunct, constraint: Constraint) -> bool:
     Keyed exactly (the constraint may mention the conjunct's wildcards, so
     alpha-canonical keys would conflate different queries).
     """
-    profiler = active_profiler()
-    if profiler is None:
-        if not caches.enabled:
-            return _constraint_redundant_uncached(conjunct, constraint)
-        key = (_exact_key(conjunct), constraint)
-        return _REDUNDANCY.memoize(
-            key, lambda: _constraint_redundant_uncached(conjunct, constraint)
-        )
-    start = _clock()
-    if not caches.enabled:
-        result = _constraint_redundant_uncached(conjunct, constraint)
-    else:
-        key = (_exact_key(conjunct), constraint)
-        result = _REDUNDANCY.memoize(
-            key, lambda: _constraint_redundant_uncached(conjunct, constraint)
-        )
-    profiler.record(
+    return gate(
         "constraint_redundant",
-        _clock() - start,
+        lambda: _constraint_redundant_uncached(conjunct, constraint),
         len(conjunct.constraints),
+        memo=_REDUNDANCY.memoize,
+        key=(conjunct.exact_key(), constraint),
     )
-    return result
 
 
 def _syntactic_redundant(
@@ -974,7 +877,7 @@ def _constraint_redundant_uncached(
     # the whole box is implied — no negated-clause emptiness test needed.
     # One-way (False means "unknown"), so the full test below stays the
     # decision procedure.
-    if presolve_enabled():
+    if presolve_on():
         pre = presolve_conjunct(conjunct)
         if not pre.empty and interval_implied(pre.intervals, constraint):
             record_event("presolve.implied")
@@ -988,29 +891,14 @@ def _constraint_redundant_uncached(
 def remove_redundancies(conjunct: Conjunct) -> Optional[Conjunct]:
     """Drop inequalities implied by the remaining constraints; memoized
     (exact key — the result keeps the input's wildcard names)."""
-    profiler = active_profiler()
-    if profiler is None:
-        if not caches.enabled:
-            return _remove_redundancies_uncached(conjunct)
-        return _REDUNDANCY.memoize(
-            (_exact_key(conjunct), None),
-            lambda: _remove_redundancies_uncached(conjunct),
-        )
-    start = _clock()
-    if not caches.enabled:
-        result = _remove_redundancies_uncached(conjunct)
-    else:
-        result = _REDUNDANCY.memoize(
-            (_exact_key(conjunct), None),
-            lambda: _remove_redundancies_uncached(conjunct),
-        )
-    profiler.record(
+    return gate(
         "remove_redundancies",
-        _clock() - start,
+        lambda: _remove_redundancies_uncached(conjunct),
         len(conjunct.constraints),
-        0 if result is None else len(result.constraints),
+        _constraint_count,
+        memo=_REDUNDANCY.memoize,
+        key=(conjunct.exact_key(), None),
     )
-    return result
 
 
 def _remove_redundancies_uncached(conjunct: Conjunct) -> Optional[Conjunct]:
@@ -1114,11 +1002,20 @@ def incremental_redundancies(
     plus anything kept); only survivors pay the memoized emptiness-based
     implication test.
     """
-    profiler = active_profiler()
-    start = _clock() if profiler is not None else 0.0
+    return gate(
+        "incremental_redundancies",
+        lambda: _incremental_redundancies(base, fresh),
+        len(fresh),
+        len,
+    )
+
+
+def _incremental_redundancies(
+    base: Conjunct, fresh: Sequence[Constraint]
+) -> List[Constraint]:
     geq_min, eq_consts = _syntactic_index(base.constraints)
     intervals = None
-    if presolve_enabled():
+    if presolve_on():
         pre = presolve_conjunct(base)
         if not pre.empty:
             intervals = pre.intervals
@@ -1135,13 +1032,6 @@ def incremental_redundancies(
         ):
             kept.append(constraint)
             _index_add(geq_min, eq_consts, constraint)
-    if profiler is not None:
-        profiler.record(
-            "incremental_redundancies",
-            _clock() - start,
-            len(fresh),
-            len(kept),
-        )
     return kept
 
 

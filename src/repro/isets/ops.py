@@ -23,9 +23,6 @@ from typing import (
     Union,
 )
 
-from time import perf_counter as _clock
-
-from ..cache.intern import intern_conjunct, presburger_key
 from ..cache.manager import caches
 from .constraint import EQ, Constraint
 from .conjunct import Conjunct
@@ -40,7 +37,7 @@ from .omega import (
     remove_redundancies,
     solve_equalities,
 )
-from .profile import active_profiler, record_event
+from .profile import gate, record_event
 from .space import Space, fresh_name
 
 # Memoized set algebra on identical operands (see repro.cache): keys are
@@ -48,27 +45,59 @@ from .space import Space, fresh_name
 # included), so a cache hit returns precisely what recomputation would.
 _SETALG = caches.register("isets.setalg", maxsize=20_000)
 
-
-def _memoized_op(op: str, compute, *operands):
-    if not caches.enabled:
-        return compute()
-    key = (op,) + tuple(presburger_key(v) for v in operands)
-    return _SETALG.memoize(key, compute)
+#: Canonical conjunct instances, keyed exactly.  Interning hits measure how
+#: often the same piece recurs; sharing instances also shares their lazily
+#: cached keys.
+_INTERN = caches.register("intern.conjunct", maxsize=65536)
 
 
-def _recorded_op(op: str, compute, size_in: int):
-    """Run a set-level operation under the active profiler, if any.
-
-    Sizes are conjunct counts (operand total in, result out)."""
-    profiler = active_profiler()
-    if profiler is None:
-        return compute()
-    start = _clock()
-    result = compute()
-    profiler.record(
-        op, _clock() - start, size_in, len(result.conjuncts)
+def intern_conjunct(conjunct: Conjunct) -> Conjunct:
+    """Canonical instance for ``conjunct``; an intern hit returns the
+    first-seen structurally identical instance (same names, same order, so
+    the swap is observationally invisible).  Uses the atomic
+    :meth:`~repro.cache.manager.LRUCache.intern` so threads racing on the
+    same key cannot mint two distinct "canonical" instances."""
+    return gate(
+        None, lambda: conjunct, memo=_intern, key=conjunct.exact_key()
     )
-    return result
+
+
+def _intern(key, compute):
+    return _INTERN.intern(key, compute())
+
+
+def presburger_key(value: "_Presburger") -> Tuple:
+    """Exact structural key of an :class:`IntegerSet` / :class:`IntegerMap`.
+
+    Includes the class, the space (dimension names and order), and the
+    ordered conjunct keys — two sets hit the same entry only when a fresh
+    computation would be indistinguishable.
+    """
+    space = value.space
+    return (
+        type(value).__name__,
+        space.in_dims,
+        space.out_dims,
+        tuple(c.exact_key() for c in value.conjuncts),
+    )
+
+
+def _set_op(op: str, tag, compute, *operands: "_Presburger"):
+    """Run a set-level operation through the gate, memoized in
+    ``isets.setalg`` under ``tag`` plus its exact operands.  Sizes are
+    conjunct counts (operand total in, result out)."""
+    return gate(
+        op,
+        compute,
+        sum(len(v.conjuncts) for v in operands),
+        _conjunct_count,
+        memo=_SETALG.memoize,
+        key=(tag,) + tuple(presburger_key(v) for v in operands),
+    )
+
+
+def _conjunct_count(result: "_Presburger") -> int:
+    return len(result.conjuncts)
 
 
 def _prune_subsumed(conjuncts: List[Conjunct]) -> List[Conjunct]:
@@ -176,23 +205,21 @@ class _Presburger:
 
     def union(self, other: "_Presburger") -> "_Presburger":
         other = self._align_other(other)
-        return _recorded_op(
+        return gate(
             "set.union",
             lambda: type(self)(
                 self.space,
                 _prune_subsumed(list(self.conjuncts + other.conjuncts)),
             ),
             len(self.conjuncts) + len(other.conjuncts),
+            _conjunct_count,
         )
 
     def intersect(self, other: "_Presburger") -> "_Presburger":
         other = self._align_other(other)
-        return _recorded_op(
-            "set.intersect",
-            lambda: _memoized_op(
-                "intersect", lambda: self._intersect_impl(other), self, other
-            ),
-            len(self.conjuncts) + len(other.conjuncts),
+        return _set_op(
+            "set.intersect", "intersect",
+            lambda: self._intersect_impl(other), self, other,
         )
 
     def _intersect_impl(self, other: "_Presburger") -> "_Presburger":
@@ -203,12 +230,9 @@ class _Presburger:
 
     def subtract(self, other: "_Presburger") -> "_Presburger":
         other = self._align_other(other)
-        return _recorded_op(
-            "set.subtract",
-            lambda: _memoized_op(
-                "subtract", lambda: self._subtract_impl(other), self, other
-            ),
-            len(self.conjuncts) + len(other.conjuncts),
+        return _set_op(
+            "set.subtract", "subtract",
+            lambda: self._subtract_impl(other), self, other,
         )
 
     def _subtract_impl(self, other: "_Presburger") -> "_Presburger":
@@ -269,12 +293,9 @@ class _Presburger:
         With ``full=True`` also removes redundant inequalities within each
         conjunct — more expensive, used before code generation.  Memoized.
         """
-        return _recorded_op(
-            "set.simplify",
-            lambda: _memoized_op(
-                ("simplify", full), lambda: self._simplify_impl(full), self
-            ),
-            len(self.conjuncts),
+        return _set_op(
+            "set.simplify", ("simplify", full),
+            lambda: self._simplify_impl(full), self,
         )
 
     def _simplify_impl(self, full: bool) -> "_Presburger":
@@ -565,12 +586,8 @@ class IntegerMap(_Presburger):
             raise SpaceMismatchError(
                 f"cannot compose {self.space} with {other.space}"
             )
-        return _recorded_op(
-            "set.then",
-            lambda: _memoized_op(
-                "then", lambda: self._then_impl(other), self, other
-            ),
-            len(self.conjuncts) + len(other.conjuncts),
+        return _set_op(
+            "set.then", "then", lambda: self._then_impl(other), self, other
         )
 
     def _then_impl(self, other: "IntegerMap") -> "IntegerMap":
@@ -784,10 +801,18 @@ def split_disjoint(subset: "IntegerSet") -> List["IntegerSet"]:
 
     This is the "disjoint disjunctive form" step of MMCodeGen (paper §5).
     """
-    profiler = active_profiler()
-    start = _clock() if profiler is not None else 0.0
+    pieces = gate(
+        "split_disjoint",
+        lambda: _disjoint_pieces(subset.conjuncts),
+        len(subset.conjuncts),
+        len,
+    )
+    return [IntegerSet(subset.space, [p]) for p in pieces]
+
+
+def _disjoint_pieces(conjuncts: Sequence[Conjunct]) -> List[Conjunct]:
     pieces: List[Conjunct] = []
-    for conjunct in subset.conjuncts:
+    for conjunct in conjuncts:
         fresh = [conjunct]
         for existing in pieces:
             fresh = [
@@ -796,11 +821,4 @@ def split_disjoint(subset: "IntegerSet") -> List["IntegerSet"]:
                 for remainder in disjoint_subtract(piece, existing)
             ]
         pieces.extend(p for p in fresh if not is_empty_conjunct(p))
-    if profiler is not None:
-        profiler.record(
-            "split_disjoint",
-            _clock() - start,
-            len(subset.conjuncts),
-            len(pieces),
-        )
-    return [IntegerSet(subset.space, [p]) for p in pieces]
+    return pieces

@@ -1,75 +1,152 @@
-"""Set-engine profiler: per-operation counters, timings, size histograms.
+"""Set-engine switchboard: the memo/profile gate, the arms, the profiler.
 
 The compile pipeline is a sequence of integer-set operations, and compile
 time is dominated by a handful of them (``split_disjoint`` →
 ``constraint_redundant`` → ``is_empty_conjunct`` for the paper's Figure 3/4
-equations on 2-D (BLOCK,BLOCK) layouts).  This module provides the
-measurement layer that turns "jacobi is slow" into "374k redundancy queries
-spent 390s in uncached emptiness eliminations":
+equations on 2-D (BLOCK,BLOCK) layouts).  Every such operation runs through
+one function, :func:`gate`, which decides *memoize or compute* and *time or
+not* from one per-thread record:
 
-* a :class:`SetOpProfiler` records, per operation, call counts, cumulative
-  wall-clock seconds, the slowest single call, and log2-bucketed size
-  histograms (conjunct counts for set-level ops, constraint counts for
-  conjunct-level ops);
-* named *event* counters track the algorithmic fast paths (GCD/interval
-  emptiness pre-tests, syntactic redundancy hits, subsumption pruning) so
-  their effect is visible rather than guessed;
-* profilers attach per thread (:func:`profiled`), so concurrent service
-  compiles account independently; snapshots merge for fleet-wide ``/stats``.
+* a :class:`SetOpProfiler` (attached with :func:`profiled`) records, per
+  operation, call counts, cumulative wall-clock seconds, the slowest single
+  call, and log2-bucketed size histograms (conjunct counts for set-level
+  ops, constraint counts for conjunct-level ops); named *event* counters
+  track the algorithmic fast paths (GCD/interval emptiness pre-tests,
+  syntactic redundancy hits, subsumption pruning);
+* :func:`reference_arm` selects the two byte-identity reference arms —
+  memo off (``CompilerOptions(caching="off")``) and presolve off.
 
-Overhead discipline: when no profiler is attached the instrumented call
-sites pay one thread-local read and a ``None`` check — no clock reads, no
-allocation.  Timings are *cumulative* (an op's seconds include the ops it
+All of it is per thread, so concurrent service compiles account (and A/B)
+independently; snapshots merge for fleet-wide ``/stats``.  An instrumented
+call pays one thread-local read; with no profiler attached there are no
+clock reads.  Timings are *cumulative* (an op's seconds include the ops it
 calls), like cProfile's cumtime; compare siblings, not parent to child.
+This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Dict, Optional
+from contextlib import contextmanager
+from time import perf_counter as _clock
+from typing import Callable, Dict, Hashable, Iterator, Optional
 
 __all__ = [
     "SetOpProfiler",
     "active_profiler",
+    "gate",
+    "presolve_on",
     "profiled",
     "record_event",
+    "reference_arm",
 ]
 
-_tls = threading.local()
+
+class _Switches:
+    """One thread's switches: attached profiler and reference-arm depths."""
+
+    __slots__ = ("profiler", "memo_off", "presolve_off")
+
+    def __init__(self):
+        self.profiler: Optional["SetOpProfiler"] = None
+        self.memo_off = self.presolve_off = 0
+
+
+class _PerThread(threading.local):
+    def __init__(self):  # runs once in every thread that touches it
+        self.switches = _Switches()
+
+
+_tls = _PerThread()
+
+
+def _compute(key: Hashable, compute: Callable[[], object]):
+    return compute()
+
+
+def gate(
+    op: Optional[str],
+    compute: Callable[[], object],
+    size_in: int = 0,
+    size_of: Optional[Callable[[object], int]] = None,
+    memo: Optional[Callable[[Hashable, Callable[[], object]], object]] = None,
+    key: Hashable = None,
+):
+    """Run one set-engine operation: memoized unless the memo-off arm is
+    on (then nothing is read, written or counted), timed — every call, hit
+    or miss — if a profiler is attached.
+
+    ``memo`` is a ``(key, compute) -> value`` lookup, an LRU's
+    :meth:`~repro.cache.manager.LRUCache.memoize`; without one the
+    operation is only timed, with ``op=None`` only memoized.  ``size_of``
+    maps the result to its output size (``None``: no output histogram).
+    """
+    switches = _tls.switches
+    if memo is None or switches.memo_off:
+        memo = _compute
+    profiler = switches.profiler
+    if profiler is None or op is None:
+        return memo(key, compute)
+    start = _clock()
+    result = memo(key, compute)
+    profiler.record(
+        op,
+        _clock() - start,
+        size_in,
+        None if size_of is None else size_of(result),
+    )
+    return result
+
+
+@contextmanager
+def reference_arm(
+    memo_off: bool = False, presolve_off: bool = False
+) -> Iterator[None]:
+    """Run the block on a byte-identity reference arm.
+
+    ``memo_off`` bypasses every memo LRU (the ``caching="off"`` path);
+    ``presolve_off`` turns the presolve engine off.  Re-entrant, and
+    scoped to the *calling thread*: concurrent compiles in other threads
+    are unaffected.
+    """
+    switches = _tls.switches
+    switches.memo_off += memo_off
+    switches.presolve_off += presolve_off
+    try:
+        yield
+    finally:
+        switches.memo_off -= memo_off
+        switches.presolve_off -= presolve_off
+
+
+def presolve_on() -> bool:
+    """False inside ``reference_arm(presolve_off=True)`` on this thread."""
+    return not _tls.switches.presolve_off
 
 
 def active_profiler() -> Optional["SetOpProfiler"]:
     """The profiler attached to the calling thread, or ``None``."""
-    return getattr(_tls, "profiler", None)
+    return _tls.switches.profiler
 
 
-class _Profiled:
-    """Context manager attaching a profiler to the calling thread."""
-
-    __slots__ = ("profiler", "_previous")
-
-    def __init__(self, profiler: Optional["SetOpProfiler"] = None):
-        self.profiler = profiler if profiler is not None else SetOpProfiler()
-        self._previous = None
-
-    def __enter__(self) -> "SetOpProfiler":
-        self._previous = getattr(_tls, "profiler", None)
-        _tls.profiler = self.profiler
-        return self.profiler
-
-    def __exit__(self, *exc) -> None:
-        _tls.profiler = self._previous
-
-
-def profiled(profiler: Optional["SetOpProfiler"] = None) -> _Profiled:
+@contextmanager
+def profiled(
+    profiler: Optional["SetOpProfiler"] = None,
+) -> Iterator["SetOpProfiler"]:
     """``with profiled() as prof:`` — profile set ops on this thread."""
-    return _Profiled(profiler)
+    if profiler is None:
+        profiler = SetOpProfiler()
+    switches = _tls.switches
+    previous, switches.profiler = switches.profiler, profiler
+    try:
+        yield profiler
+    finally:
+        switches.profiler = previous
 
 
 def record_event(name: str, n: int = 1) -> None:
     """Count a named event (fast-path hit, pruning, ...) if profiling."""
-    profiler = getattr(_tls, "profiler", None)
+    profiler = _tls.switches.profiler
     if profiler is not None:
         profiler.count(name, n)
 
@@ -220,28 +297,3 @@ class SetOpProfiler:
             for name, value in sorted(self.events.items()):
                 lines.append(f"{name:40s} {value:10d}")
         return "\n".join(lines)
-
-
-_clock = time.perf_counter
-
-
-def timed(op: str, compute, size_in: int, size_of_result=None):
-    """Run ``compute()`` under the active profiler (if any).
-
-    ``size_of_result`` maps the result to its output size; ``None`` skips
-    the output histogram.  When no profiler is attached this is a plain
-    call — no clock reads.
-    """
-    profiler = getattr(_tls, "profiler", None)
-    if profiler is None:
-        return compute()
-    start = _clock()
-    result = compute()
-    elapsed = _clock() - start
-    profiler.record(
-        op,
-        elapsed,
-        size_in,
-        None if size_of_result is None else size_of_result(result),
-    )
-    return result

@@ -43,7 +43,7 @@ from ..options import RuntimeOptions
 # source.  Code objects are immutable, so every launch (and every rank)
 # execs the shared object into a namespace of its own; only the
 # ``compile()`` — 150 ms for a 550 kB program — is paid once.  Not a
-# memo cache of the compiler (``caches.disabled()`` and ``reset_caches``
+# memo cache of the compiler (the memo-off reference arm and ``reset_caches``
 # leave it alone): it holds nothing but what ``compile()`` would return.
 _NODE_CODE = LRUCache("runtime.node_code", maxsize=16)
 

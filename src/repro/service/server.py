@@ -41,7 +41,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
-from ..cache.manager import caches
+from ..cache.manager import LRUCache, caches
 from ..cache.persist import compute_fingerprint, default_cache_dir
 from ..core.driver import CompiledProgram, compile_program
 from ..isets.profile import SetOpProfiler
@@ -109,9 +109,9 @@ class CompileService:
         self._draining = False
         # Deserialized artifacts kept hot in memory (bounded; the disk
         # store remains the source of truth and survives restarts).
-        self._mem = caches.register(
-            "service.artifacts", maxsize=memory_artifacts
-        )
+        # Per service, not in the process-wide registry: two services in
+        # one process must not answer from each other's artifacts.
+        self._mem = LRUCache("service.artifacts", maxsize=memory_artifacts)
         # Fleet-wide set-engine profile: every actual compile (cold,
         # coalesced-leader, bypass) runs with ``profile_sets`` on and folds
         # its per-compile snapshot in here; ``/stats`` reports the
@@ -387,7 +387,9 @@ class CompileService:
                 "size": s.size,
                 "maxsize": s.maxsize,
             }
-            for name, s in caches.stats().items()
+            for name, s in {
+                **caches.stats(), self._mem.name: self._mem.stats()
+            }.items()
             if s.lookups or s.size
         }
         return {

@@ -2,7 +2,7 @@
 
 The compile service runs many client compiles in one process, so the
 memoization layer must hold up under threads: no lost counter updates,
-no duplicate "canonical" interned instances, per-thread ``disabled()``
+no duplicate "canonical" interned instances, per-thread memo-off arm
 scoping, and set-algebra results identical to a single-threaded run.
 Runs under ``-W error`` in CI.
 """
@@ -10,9 +10,10 @@ Runs under ``-W error`` in CI.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cache.intern import conjunct_key, intern_conjunct
 from repro.cache.manager import LRUCache, caches
 from repro.isets import parse_set
+from repro.isets.ops import intern_conjunct
+from repro.isets.profile import gate, reference_arm
 
 THREADS = 8
 OPS_PER_THREAD = 200
@@ -107,7 +108,7 @@ def test_conjunct_interner_never_mints_duplicates():
                 # Each parse builds fresh structurally-equal conjuncts.
                 for conjunct in parse_set(text).conjuncts:
                     canon.append(
-                        (conjunct_key(conjunct),
+                        (conjunct.exact_key(),
                          id(intern_conjunct(conjunct)))
                     )
         return canon
@@ -156,8 +157,9 @@ def test_disabled_is_scoped_to_the_calling_thread():
     observed = {}
 
     def disabled_thread():
-        with caches.disabled():
-            observed["disabled_sees"] = caches.enabled
+        with reference_arm(memo_off=True):
+            gate(None, lambda: "uncached", memo=cache.memoize, key="off")
+            observed["disabled_sees"] = cache.stats()
             inside.set()
             proceed.wait(timeout=30)
 
@@ -166,9 +168,8 @@ def test_disabled_is_scoped_to_the_calling_thread():
     assert inside.wait(timeout=30)
     try:
         # This thread's caching stays on while the other is disabled.
-        assert caches.enabled
         before = cache.stats().misses
-        value = caches.memoize(cache, "k", lambda: "computed")
+        value = gate(None, lambda: "computed", memo=cache.memoize, key="k")
         assert value == "computed"
         assert cache.stats().misses == before + 1
         found, cached = cache.lookup("k")
@@ -176,4 +177,7 @@ def test_disabled_is_scoped_to_the_calling_thread():
     finally:
         proceed.set()
         worker.join(timeout=30)
-    assert observed["disabled_sees"] is False
+    # The arm's own thread neither read, wrote nor counted.
+    assert observed["disabled_sees"].lookups == 0
+    assert observed["disabled_sees"].size == 0
+    assert not cache.lookup("off")[0]

@@ -1,16 +1,9 @@
-"""Structural keys and hash-consing (repro.cache.intern)."""
+"""Structural keys and hash-consing (Conjunct.exact_key, isets.ops)."""
 
-from repro.cache.intern import (
-    conjunct_key,
-    constraint_key,
-    intern_conjunct,
-    linexpr_key,
-    presburger_key,
-)
-from repro.cache.manager import caches
 from repro.isets import parse_map, parse_set
 from repro.isets.conjunct import Conjunct
-from repro.isets.linexpr import LinExpr
+from repro.isets.ops import intern_conjunct, presburger_key
+from repro.isets.profile import reference_arm
 
 
 def _stride_conjunct() -> Conjunct:
@@ -21,13 +14,6 @@ def _stride_conjunct() -> Conjunct:
     return conjunct
 
 
-def test_linexpr_key_structural():
-    a = LinExpr({"i": 2, "j": -1}, 5)
-    b = LinExpr({"j": -1, "i": 2}, 5)
-    assert linexpr_key(a) == linexpr_key(b)
-    assert linexpr_key(a) != linexpr_key(LinExpr({"i": 2, "j": -1}, 6))
-
-
 def test_constraint_and_conjunct_keys_structural():
     [base] = parse_set("{[i] : 1 <= i <= 8}").conjuncts
     # Fresh, structurally identical copies (parse_set itself already
@@ -35,10 +21,9 @@ def test_constraint_and_conjunct_keys_structural():
     c1 = Conjunct(base.constraints, base.wildcards)
     c2 = Conjunct(base.constraints, base.wildcards)
     assert c1 is not c2
-    assert conjunct_key(c1) == conjunct_key(c2)
-    assert constraint_key(c1.constraints[0]) == constraint_key(
-        c2.constraints[0]
-    )
+    assert c1.exact_key() == c2.exact_key()
+    assert hash(c1.exact_key()) == hash(c2.exact_key())
+    assert c1.exact_key() is c1.exact_key()  # built and hashed once
     assert intern_conjunct(c1) is intern_conjunct(c2)
 
 
@@ -51,7 +36,7 @@ def test_exact_key_distinguishes_alpha_variants():
     assert conjunct.key() == renamed.key()
     # …but the exact memoization/interning key does not: a cached
     # transformation result must mention the caller's wildcard names.
-    assert conjunct_key(conjunct) != conjunct_key(renamed)
+    assert conjunct.exact_key() != renamed.exact_key()
     assert intern_conjunct(conjunct) is not intern_conjunct(renamed)
 
 
@@ -60,7 +45,7 @@ def test_exact_key_distinguishes_constraint_order():
     reordered = Conjunct(
         tuple(reversed(conjunct.constraints)), conjunct.wildcards
     )
-    assert conjunct_key(conjunct) != conjunct_key(reordered)
+    assert conjunct.exact_key() != reordered.exact_key()
 
 
 def test_presburger_key_covers_space_and_class():
@@ -77,7 +62,7 @@ def test_presburger_key_covers_space_and_class():
 def test_interning_disabled_returns_argument():
     conjunct = _stride_conjunct()
     canonical = intern_conjunct(conjunct)
-    with caches.disabled():
+    with reference_arm(memo_off=True):
         fresh = Conjunct(conjunct.constraints, conjunct.wildcards)
         assert intern_conjunct(fresh) is fresh
     assert intern_conjunct(conjunct) is canonical

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.cache.manager import CacheManager, LRUCache, caches
+from repro.isets.profile import gate, reference_arm
 
 
 def test_lru_evicts_least_recently_used():
@@ -65,8 +66,12 @@ def test_maxsize_must_be_positive():
 def test_manager_register_is_idempotent():
     manager = CacheManager()
     a = manager.register("x", maxsize=10)
-    b = manager.register("x", maxsize=999)  # maxsize of first wins
+    b = manager.register("x", maxsize=10)
     assert a is b
+    # One name, one bound: a second owner asking for a different size is
+    # an error, not a silently shared cache.
+    with pytest.raises(ValueError, match="already registered"):
+        manager.register("x", maxsize=999)
     assert a.maxsize == 10
     assert "x" in manager
     assert manager["x"] is a
@@ -82,23 +87,23 @@ def test_manager_disabled_bypasses_cache():
         calls.append(1)
         return "v"
 
-    assert manager.enabled
-    with manager.disabled():
-        assert not manager.enabled
-        with manager.disabled():  # re-entrant
-            assert not manager.enabled
-            manager.memoize(cache, "k", compute)
-        assert not manager.enabled
-        manager.memoize(cache, "k", compute)
-    assert manager.enabled
+    def memoize():
+        return gate(None, compute, memo=cache.memoize, key="k")
+
+    with reference_arm(memo_off=True):
+        with reference_arm(memo_off=True):  # re-entrant
+            memoize()
+        memoize()  # the outer arm is still on
+        with reference_arm(presolve_off=True):  # the other arm: no effect
+            memoize()
     # While disabled nothing was cached or counted.
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert len(cache) == 0
     assert (cache.hits, cache.misses) == (0, 0)
     # Re-enabled: memoization works again.
-    manager.memoize(cache, "k", compute)
-    manager.memoize(cache, "k", compute)
-    assert len(calls) == 3
+    memoize()
+    memoize()
+    assert len(calls) == 4
     assert (cache.hits, cache.misses) == (1, 1)
 
 
@@ -107,8 +112,8 @@ def test_manager_counters_snapshot_delta():
     cache = manager.register("z")
     before = manager.counters()
     assert manager.delta(before) == {}
-    manager.memoize(cache, "k", lambda: 1)
-    manager.memoize(cache, "k", lambda: 1)
+    cache.memoize("k", lambda: 1)
+    cache.memoize("k", lambda: 1)
     delta = manager.delta(before)
     assert delta == {"z": {"hits": 1, "misses": 1, "evictions": 0}}
     # A cache with no activity since the snapshot is omitted.

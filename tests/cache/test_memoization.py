@@ -7,6 +7,7 @@ from repro.cache.manager import caches, reset_caches
 from repro.core.options import CompilerOptions
 from repro.isets import parse_set
 from repro.isets.omega import is_empty_conjunct
+from repro.isets.profile import profiled, reference_arm
 
 PROGRAM = """
 program memo
@@ -89,7 +90,7 @@ def test_memoized_results_match_uncached():
     s = parse_set("{[i] : 1 <= i <= 100 and exists(a : i = 4a + 1)}")
     t = parse_set("{[i] : 13 <= i <= 61}")
     cached = s.intersect(t).simplify()
-    with caches.disabled():
+    with reference_arm(memo_off=True):
         uncached = s.intersect(t).simplify()
     assert str(cached) == str(uncached)
     assert sorted(map(tuple, _points(cached))) == sorted(
@@ -130,6 +131,30 @@ def test_caching_off_emits_byte_identical_program():
     # counter and differ between any two compiles, cached or not.)
     # caching="off" must not populate or count against the caches.
     assert not uncached.phases.cache_stats
+
+
+def test_one_gate_arms_and_profiler_leave_the_program_alone():
+    # The gate decides memoize-or-compute and time-or-not; neither decision
+    # may reach the emitted bytes, and the two are independent: timing
+    # moves no memo counter, the memo-off arm moves none at all.
+    reset_caches()
+    default = compile_program(PROGRAM).source
+    unprofiled_counters = caches.counters()
+    assert any(hits for hits, _, _ in unprofiled_counters.values())
+
+    reset_caches()
+    with profiled() as profiler:
+        assert compile_program(PROGRAM).source == default
+    assert profiler.ops["normalize"].calls > 0
+    assert caches.counters() == unprofiled_counters
+
+    with reference_arm(presolve_off=True):
+        assert compile_program(PROGRAM).source == default
+
+    before = caches.counters()
+    with reference_arm(memo_off=True):
+        assert compile_program(PROGRAM).source == default
+    assert caches.counters() == before
 
 
 def test_invalid_caching_value_rejected():

@@ -118,6 +118,21 @@ def test_sets_with_params(capsys):
     assert "3 point(s):" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sets", "{[i]: 1 <= i <= }"], "error: "),
+    (["run", "/no/such.hpf"], "error: [Errno 2]"),
+    (["submit", "PROGRAM", "--port", "1"], "Connection refused"),
+], ids=["sets-parse-error", "missing-program", "no-server"])
+def test_user_mistake_is_one_line_and_exit_1(
+    argv, message, program_file, capsys
+):
+    argv = [program_file if arg == "PROGRAM" else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bad_param_rejected(program_file):
     with pytest.raises(SystemExit):
         main(["run", program_file, "--param", "oops"])

@@ -23,17 +23,14 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.isets import Conjunct, Constraint, LinExpr
-from repro.isets.bounds import (
-    presolve_constraints,
-    presolve_disabled,
-    presolve_disjoint,
-)
+from repro.isets.bounds import presolve_constraints, presolve_disjoint
 from repro.isets.errors import InexactOperationError
 from repro.isets.omega import (
     _quick_feasibility,
     is_empty_conjunct,
     project_out,
 )
+from repro.isets.profile import reference_arm
 
 BOX = (-3, 4)
 
@@ -176,7 +173,7 @@ def test_project_out_pinning_pointwise_equal(conjunct, eliminate):
             if presolve_on:
                 pieces = project_out(conjunct, list(eliminate))
             else:
-                with presolve_disabled():
+                with reference_arm(presolve_off=True):
                     pieces = project_out(conjunct, list(eliminate))
         except InexactOperationError:
             return

@@ -5,7 +5,7 @@ import pytest
 from repro import compile_program, programs
 from repro.cache.manager import caches, reset_caches
 from repro.hpf import DataMapping
-from repro.isets.profile import profiled
+from repro.isets.profile import profiled, reference_arm
 from repro.lang import parse_program
 from repro.runtime.harness import (
     _inplace_for_rank,
@@ -187,7 +187,7 @@ def test_launch_spec_evaluates_each_inplace_check_once(launchable, nprocs):
 
     flags = [b.inplace for b in spec.bindings]
     assert [b.inplace for b in again.bindings] == flags
-    with caches.disabled():  # the memo is bypassed: a direct evaluation
+    with reference_arm(memo_off=True):  # the memo is bypassed: a direct evaluation
         direct = [
             {
                 name: _inplace_for_rank(result, layout, b.env, nprocs, b.rank)

@@ -186,6 +186,25 @@ def test_removed_option_is_a_400_not_a_silent_default(server):
     assert "dataplane" in data["error"]["message"]
 
 
+def test_two_services_in_one_process_share_no_artifacts(tmp_path):
+    from repro.service.server import CompileService
+
+    a = CompileService(cache_dir=str(tmp_path / "a"), memory_artifacts=64)
+    b = CompileService(cache_dir=str(tmp_path / "b"), memory_artifacts=2)
+    assert a.compile_source(variant(40))[1]["cache"] == "cold"
+    # B never compiled nor stored it: its first answer is its own compile.
+    assert b.compile_source(variant(40))[1]["cache"] == "cold"
+    assert b.compile_source(variant(40))[1]["cache"] == "hot"
+    # Each service honours its own in-memory bound...
+    for tag in (41, 42):
+        b.compile_source(variant(tag))
+    assert (a._mem.maxsize, b._mem.maxsize) == (64, 2)
+    assert len(b._mem) == 2 and len(a._mem) == 1
+    # ...and reports its own counters under the name it always had.
+    assert b.stats()["memo_caches"]["service.artifacts"]["evictions"] == 1
+    assert a.stats()["memo_caches"]["service.artifacts"]["evictions"] == 0
+
+
 def test_stats_shape(client):
     client.compile(variant(1))  # guarantee at least one hot hit
     stats = client.stats()
