@@ -73,8 +73,8 @@ def test_table1_sp_fixed_vs_symbolic(benchmark):
 def test_table1_no_dominant_phase():
     # Paper: no phase is "especially dominant"; its largest single phase
     # (communication generation) is ~35%.  Allow some slack: ours is
-    # check_contiguous, 64 % of SP-4 and 56 % of SP-sym cold (ROADMAP
-    # item 5 owns cutting it).
+    # check_contiguous, 33-37 % of SP-4 and 38-40 % of SP-sym cold
+    # (ROADMAP item 3 owns cutting it).
     for compiled, name in (
         (_compile_sp(False), "SP-4"), (_compile_sp(True), "SP-sym")
     ):

@@ -99,28 +99,29 @@ def programs():
 #: the minuend whole instead of a fan of prefix-decomposition fragments,
 #: so disjoint unions reach code generation with fewer, simpler pieces —
 #: a deliberate representation change (validated by the execution suite),
-#: not a leak.  gauss is byte-identical to the pre-pretest artifact; the
-#: other five changed only in piece decomposition.  redblack remains the
-#: canonical artifact of the determinism fix (stride residues reduced mod
-#: their modulus at emission).
+#: not a leak.  redblack remains the canonical artifact of the
+#: determinism fix (stride residues reduced mod their modulus at
+#: emission).  Re-pinned again when codegen began scanning the
+#: self-inclusive communication maps (DESIGN §11): every partner still
+#: receives the same elements, in fewer disjoint pieces.
 BENCHMARK_SHAS = {
     "jacobi": (
-        "39d0c86cc1855a069b92b771b54e0970a421741a768118854130cd8092c846c5"
+        "6cd906b7a7ff6d24fb7ee12b32c6c79a44da41ccc3f8523288c974b92d93794a"
     ),
     "tomcatv": (
-        "3eccb9a254cdad0905f8e7536d6114fd7e0f6e4bdc2d33e4aa4aa2b92d5b0ed9"
+        "428c3078aaaf64ebcf13e9c3322e64f5e82140ab5208cd8fc43852bfb3986e24"
     ),
     "erlebacher": (
-        "450fe4d0e3fc68855df3f1eb421302ba89cdc4a4fe532a5192b2d702c67dfe97"
+        "c1d13d07001c7048b72df46b6e6355e53cac5822f49b91078c33e975b7253f5c"
     ),
     "gauss": (
-        "0f010d60990c227bece81aefe78891180a20021776ed140ec3163d6c9b388a81"
+        "582d7d406c5c172a827ddd76d553944d87011635379f517e5125361a770be5be"
     ),
     "redblack": (
-        "d467c831ee563965efcc8cf3da95ba3d96fadfe93b243ae23dcfd9e82f8bcec6"
+        "72ccaf9dad09a01716d40aa7086f9f5eeebf59e61566e57710b5faccfbd1d1c0"
     ),
     "sp_like": (
-        "4852f94c4b15fb3f4af6bc90f1a2f064616223d091383d364b76dddced7d93b8"
+        "73a538121d43b005e874d37bfe2aa11b52abe90086a6c9488c5c8af4284b9c47"
     ),
 }
 

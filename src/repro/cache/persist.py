@@ -40,8 +40,9 @@ from typing import Dict, Optional
 from .locks import FileLock
 from .manager import caches
 
-#: Bump when the artifact layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Bump when the artifact layout changes incompatibly, and on every
+#: re-pin of the emitted node programs (DESIGN §11).
+FORMAT_VERSION = 2
 
 _ARTIFACT_PREFIX = "cc-"
 _ARTIFACT_SUFFIX = ".pkl"

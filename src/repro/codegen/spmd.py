@@ -966,18 +966,14 @@ class _BodyEmitter:
     def _emit_send_side(self, event: AnalyzedEvent):
         layout = event.placed.event.layout
         comm_map = event.sets.send_comm_map
-        if comm_map.is_empty():
-            has_any = False
-        else:
-            has_any = True
         tag = f"{event.tag}s"
         inplace = self._inplace_flag(event, "send")
         self._emit_comm_side(
-            layout, comm_map, tag, sending=True,
+            layout, comm_map, event.sets.send_scan_map, tag, sending=True,
             active=event.active_vp.active_send_vp
             if event.active_vp is not None else None,
             inplace_flag=inplace,
-            enabled=has_any,
+            enabled=not comm_map.is_empty(),
         )
 
     def _emit_recv_side(self, event: AnalyzedEvent):
@@ -986,7 +982,7 @@ class _BodyEmitter:
         tag = f"{event.tag}s"  # must match the sender's tag
         inplace = self._inplace_flag(event, "recv")
         self._emit_comm_side(
-            layout, comm_map, tag, sending=False,
+            layout, comm_map, event.sets.recv_scan_map, tag, sending=False,
             active=event.active_vp.active_recv_vp
             if event.active_vp is not None else None,
             inplace_flag=inplace,
@@ -1017,6 +1013,7 @@ class _BodyEmitter:
         self,
         layout: Layout,
         comm_map: IntegerMap,
+        scan_map: IntegerMap,
         tag: str,
         sending: bool,
         active: Optional[IntegerSet],
@@ -1097,15 +1094,15 @@ class _BodyEmitter:
                 self.w.push()
                 closes += 1
 
-        # Data loops from the comm map, per conjunct.
+        # Data loops from the self-inclusive scan map: under the rank
+        # guard above it equals the exact map at every partner emitted.
         data_set = IntegerSet(
-            Space(comm_map.out_dims),
-            [c for c in comm_map.conjuncts],
+            Space(scan_map.out_dims), scan_map.conjuncts
         ).simplify(full=True)
         payload = "PACK" if sending else "COUNT"
         fragments = generate_loops(data_set, payload)
         array = layout.array
-        data_dims = comm_map.out_dims
+        data_dims = scan_map.out_dims
 
         self._emit_section_fragments(
             fragments, rename, bufs, sending, array, data_dims

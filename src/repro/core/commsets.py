@@ -69,8 +69,13 @@ class CommSets:
     nl_data_set: Dict[str, IntegerSet]         # t -> non-local data of m
     nl_comm_map: Dict[str, IntegerMap]         # t -> {[p] -> [a]} (eq 4)
     local_comm_map: Dict[str, IntegerMap]      # t -> {[p] -> [a]} (eq 5)
-    send_comm_map: IntegerMap                  # eq 6
-    recv_comm_map: IntegerMap                  # eq 7
+    send_comm_map: IntegerMap                  # eq 6, partner != m
+    recv_comm_map: IntegerMap                  # eq 7, partner != m
+    #: eqs 6/7 before the self-exclusion: what codegen and the §3.3 check
+    #: scan.  Restricted to any partner q != m it equals the exact map at
+    #: q, and the emitter's rank guard skips q == m.
+    send_scan_map: IntegerMap
+    recv_scan_map: IntegerMap
 
     def has_communication(self) -> bool:
         return not (
@@ -154,10 +159,6 @@ def compute_comm_sets(event: CommEvent) -> CommSets:
     # (7) RecvCommMap(m) = NLCommMap_read(m) ∪ LocalCommMap_write(m)
     recv = nl_comm_map["read"].union(local_comm_map["write"]).simplify()
 
-    # A processor never communicates with itself: drop p == m pairs.
-    send = _exclude_self(send, layout)
-    recv = _exclude_self(recv, layout)
-
     return CommSets(
         event=event,
         data_accessed={
@@ -168,8 +169,11 @@ def compute_comm_sets(event: CommEvent) -> CommSets:
         nl_data_set=nl_data_set,
         nl_comm_map=nl_comm_map,
         local_comm_map=local_comm_map,
-        send_comm_map=send,
-        recv_comm_map=recv,
+        # A processor never communicates with itself: drop p == m pairs.
+        send_comm_map=_exclude_self(send, layout),
+        recv_comm_map=_exclude_self(recv, layout),
+        send_scan_map=send,
+        recv_scan_map=recv,
     )
 
 
@@ -188,8 +192,11 @@ def _not_me_set(layout: Layout) -> IntegerSet:
 def _exclude_self(comm_map: IntegerMap, layout: Layout) -> IntegerMap:
     """Remove pairs where the partner is the executing processor itself.
 
-    Exact when expressible (difference of the diagonal); the SPMD code also
-    guards dynamically, which covers replicated layouts.
+    Exact (difference of the diagonal), at the cost of splitting each
+    conjunct into "partner < me" / "partner > me" pieces per grid dim.
+    The result decides *whether* and *when* anyone talks; codegen and
+    the §3.3 check scan the self-inclusive map instead, and the emitted
+    ``_qrank == rt.rank`` guard removes the self pairs at run time.
     """
     diagonal = IntegerSet.from_constraints(
         comm_map.in_dims,

@@ -229,25 +229,26 @@ def _compile_unprofiled(
 
                     layout = placed_event.event.layout
                     bounds = layout.map.range().simplify()
-                    # Per-partner message pieces: keep partner coordinates
-                    # symbolic (one conjunct per message), but existentially
-                    # project the current-outer-iteration symbols — they are
-                    # bound per loop trip, not free parameters.  (For
+                    # Per-partner message pieces of the scan maps: keep
+                    # partner coordinates symbolic (one conjunct per
+                    # coalesced reference), but existentially project the
+                    # current-outer-iteration symbols — they are bound per
+                    # loop trip, not free parameters.  (For
                     # iteration-dependent sets this unions over trips; the
                     # in-place decision is then conservative cost
                     # accounting, see DESIGN.md.)
                     outer_syms = list(placed_event.event.outer_symbols)
                     send_data = _strip_outer(
                         _ISet(
-                            _Sp(sets.send_comm_map.out_dims),
-                            sets.send_comm_map.conjuncts,
+                            _Sp(sets.send_scan_map.out_dims),
+                            sets.send_scan_map.conjuncts,
                         ),
                         outer_syms,
                     )
                     recv_data = _strip_outer(
                         _ISet(
-                            _Sp(sets.recv_comm_map.out_dims),
-                            sets.recv_comm_map.conjuncts,
+                            _Sp(sets.recv_scan_map.out_dims),
+                            sets.recv_scan_map.conjuncts,
                         ),
                         outer_syms,
                     )

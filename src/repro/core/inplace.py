@@ -160,9 +160,10 @@ def analyze_contiguity_per_message(
 ) -> InPlaceResult:
     """Contiguity of each *message* of a communication set.
 
-    A union's conjuncts correspond to distinct partner messages (one
-    message per partner is sent); the whole event is in-place when every
-    per-message piece is contiguous on its own."""
+    The compiler passes the self-inclusive scan map, whose conjuncts are
+    one per coalesced reference with the partner coordinates symbolic;
+    self pairs are left to the emitter's rank guard.  The whole event is
+    in-place when every piece is contiguous on its own."""
     if not comm_data.conjuncts:
         return InPlaceResult(Answer.TRUE, pivot_dim=0)
     results = [

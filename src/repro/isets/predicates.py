@@ -5,7 +5,8 @@ memory?" to per-dimension predicates, each of which reduces to a
 satisfiability test:
 
 * ``IsConvex(S)`` for a rank-1 set ``S``: there is no hole, i.e. the set
-  ``{(x,y,z) : x ∈ S, z ∈ S, x < y < z, y ∉ S}`` is empty.
+  ``{(x,y,z) : x ∈ S, z ∈ S, x < y < z, y ∉ S}`` is empty.  A single
+  conjunct without wildcards is an interval and skips the query.
 * ``IsSingleton(S)`` for a rank-1 set: ``{(x,y) : x ∈ S, y ∈ S, x < y}`` is
   empty (and the set is nonempty).
 * ``SpansFullRange(C, A)`` per dimension: the projections coincide.
@@ -75,6 +76,14 @@ def _renamed_copy(subset: IntegerSet, new_dim: str) -> IntegerSet:
 
 def is_convex_1d(subset: IntegerSet) -> PredicateResult:
     """No integer holes between members of a rank-1 set."""
+    if subset.space.arity_in != 1:
+        raise SpaceMismatchError("predicate requires a rank-1 set")
+    if len(subset.conjuncts) == 1 and not subset.conjuncts[0].wildcards:
+        # Closed form: affine constraints on one integer variable cut out
+        # an interval for every parameter value.
+        return PredicateResult(
+            Answer.TRUE, IntegerSet.empty(subset.space.in_dims)
+        )
     x, y, z = fresh_name("x"), fresh_name("y"), fresh_name("z")
     space = [x, y, z]
     in_x = _embed(subset, space, x)

@@ -145,6 +145,19 @@ def _program_source(name: str) -> str:
     return getattr(programs, name)()
 
 
+def test_jacobi_scans_one_conjunct_per_reference():
+    """The emitter scans the self-inclusive maps: one conjunct per
+    coalesced reference, not the exact map's "partner != me" fan-out."""
+    compiled = compile_program(programs.jacobi())
+    (event,) = compiled.analyses["main"].events
+    sets = event.sets
+    assert len(sets.send_scan_map.conjuncts) == 4
+    assert len(sets.recv_scan_map.conjuncts) == 4
+    assert len(sets.send_comm_map.conjuncts) == 16
+    assert len(compiled.source.encode()) < 50_000
+    assert compiled.source.count("_fidx.append") < 10
+
+
 @pytest.mark.parametrize("name", programs.__all__)
 def test_runtime_inplace_checks_registered_once(name):
     """Loop splitting emits one event at several sites; each run-time

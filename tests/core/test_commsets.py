@@ -1,5 +1,8 @@
 """Unit tests for the Figure 3 communication-set equations."""
 
+import pytest
+
+from repro import compile_program
 from repro.core.commsets import compute_comm_sets
 from repro.core.context import collect_contexts
 from repro.core.cp import resolve_cp
@@ -7,6 +10,9 @@ from repro.core.events import build_events
 from repro.hpf import DataMapping
 from repro.isets import count_points, enumerate_points, parse_set
 from repro.lang import parse_program
+from repro.programs import jacobi
+from repro.runtime.harness import evaluate_bindings, run_compiled
+from repro.runtime.trace import SendEvent
 
 
 def _comm_sets(src):
@@ -113,13 +119,11 @@ end
     def test_no_self_communication(self):
         mapping, results = _comm_sets(self.SRC)
         (event, sets), = results
-        send = sets.send_comm_map
-        # the partner dim can never equal my_p_0
-        diag = send.constrain(
-            parse_set("{[q] : q = my_p_0}")
-            .conjuncts[0].constraints
-        ) if False else None
-        send_fixed = send.partial_evaluate({"my_p_0": 1})
+        # The scan map keeps p == my_p pairs (the emitter's rank guard
+        # skips them); the exact map can never pair me with myself.
+        diagonal = parse_set("{[q] : q = my_p_0}")
+        assert not sets.send_scan_map.domain().intersect(diagonal).is_empty()
+        send_fixed = sets.send_comm_map.partial_evaluate({"my_p_0": 1})
         partners = enumerate_points(send_fixed.domain())
         assert (1,) not in partners
 
@@ -151,3 +155,62 @@ end
         assert points == [(26,)]
         recv = sets.recv_comm_map.partial_evaluate({"my_p_0": 1})
         assert (26,) in enumerate_points(recv.range())
+
+
+def _traced_message_elements(compiled, params, nprocs):
+    """(tag, me, q) -> elements sent, from an inproc-seq run's traces."""
+    outcome = run_compiled(compiled, params, nprocs, backend="inproc-seq")
+    counts = {}
+    for result in outcome.results:
+        for event in result.trace.events:
+            if isinstance(event, SendEvent):
+                key = (event.tag, result.rank, event.dest)
+                counts[key] = counts.get(key, 0) + event.bytes // 8
+    return counts
+
+
+def _exact_message_elements(compiled, params, nprocs, outer):
+    """(tag, me, q) -> points of the exact SendCommMap(me) at partner q."""
+    envs = [
+        evaluate_bindings(compiled.mapping, params, nprocs, rank)
+        for rank in range(nprocs)
+    ]
+    counts = {}
+    for analysis in compiled.analyses.values():
+        for event in analysis.events:
+            send = event.sets.send_comm_map
+            my_names = event.placed.event.layout.grid.my_names
+            for me in range(nprocs):
+                for q in range(nprocs):
+                    partner = {
+                        p: envs[q][name]
+                        for p, name in zip(send.in_dims, my_names)
+                    }
+                    elements = count_points(
+                        send.fix_input(partner).range(),
+                        {**envs[me], **outer},
+                    )
+                    if elements:
+                        counts[(f"{event.tag}s", me, q)] = elements
+    return counts
+
+
+@pytest.mark.parametrize(
+    "source, params, nprocs, outer",
+    [
+        (SHIFT, {}, 4, {}),
+        (TestCoalescedStencil.SRC, {}, 4, {}),
+        (jacobi(), {"n": 16, "niter": 1}, 4, {"iter_cur": 1}),
+    ],
+    ids=["shift", "stencil", "jacobi"],
+)
+def test_scanned_messages_match_exact_map(source, params, nprocs, outer):
+    """Codegen scans the self-inclusive map under a ``q != me`` guard; every
+    message it sends must hold exactly the points of the exact map."""
+    compiled = compile_program(source)
+    traced = _traced_message_elements(compiled, params, nprocs)
+    assert traced
+    assert all(me != q for _, me, q in traced)
+    assert traced == _exact_message_elements(
+        compiled, params, nprocs, outer
+    )

@@ -1,5 +1,7 @@
 """Unit tests for the §3.3 predicates (IsConvex / IsSingleton / spans)."""
 
+import pytest
+
 from repro.isets import (
     Answer,
     is_convex_1d,
@@ -8,6 +10,8 @@ from repro.isets import (
     projection,
     spans_full_range,
 )
+from repro.isets.errors import SpaceMismatchError
+from repro.isets.profile import profiled
 
 
 class TestIsConvex:
@@ -42,6 +46,27 @@ class TestIsConvex:
         )
         assert result.answer is Answer.UNKNOWN
         assert result.violations is not None
+
+    def test_single_wildcard_free_conjunct_skips_the_query(self):
+        with profiled() as prof:
+            result = is_convex_1d(parse_set("{[i] : 2 <= 3i <= n + 4}"))
+        assert result.answer is Answer.TRUE
+        assert result.violations.is_empty()
+        assert "set.subtract" not in prof.snapshot()["ops"]
+
+    @pytest.mark.parametrize("text", [
+        "{[i] : exists(a : i = 2a) and 0 <= i <= n}",
+        "{[i] : 1 <= i <= 3 or 6 <= i <= 9}",
+    ])
+    def test_strides_and_unions_take_the_query(self, text):
+        with profiled() as prof:
+            result = is_convex_1d(parse_set(text))
+        assert result.answer is not Answer.TRUE
+        assert prof.snapshot()["ops"]["set.subtract"]["calls"] >= 1
+
+    def test_rank_two_is_rejected(self):
+        with pytest.raises(SpaceMismatchError):
+            is_convex_1d(parse_set("{[i, j] : 1 <= i <= 9 and j = i}"))
 
     def test_symbolic_provable(self):
         # Two ranges that always touch: [1,n] ∪ [n,2n] for n >= 1... still
