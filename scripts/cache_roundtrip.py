@@ -264,8 +264,7 @@ def check_service(cache_dir: str) -> None:
         compile_program(JACOBI_1D, CompilerOptions(caching="off")).source
     )
 
-    server = create_server(port=0, cache_dir=cache_dir, nshards=4,
-                           shard_capacity=32)
+    server = create_server(port=0, cache_dir=cache_dir)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -340,8 +339,7 @@ def check_pooled_service(cache_dir: str) -> None:
     from repro.service import ServiceClient, create_server
 
     reset_caches()
-    server = create_server(port=0, cache_dir=cache_dir, nshards=4,
-                           shard_capacity=32, workers=2)
+    server = create_server(port=0, cache_dir=cache_dir, workers=2)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -6,7 +6,7 @@ Usage::
     python -m repro run prog.hpf --nprocs 4 --param n=64 --param niter=3
     python -m repro sets '{[i] : 1 <= i <= 20 and exists(a : i = 3a)}'
     python -m repro cache stats|clear [--cache-dir DIR]
-    python -m repro serve [--port 8737] [--shards 8] [--cache-dir DIR]
+    python -m repro serve [--port 8737] [--cache-dir DIR]
                           [--workers N] [--queue-depth D]
                           [--quarantine-after K] [--compile-deadline-s S]
     python -m repro submit prog.hpf [--url http://host:port] [--json]
@@ -19,7 +19,8 @@ expression and enumerates it (small sets; parameters via --param).
 ``cache`` inspects or clears the persistent compile cache; ``compile``
 and ``run`` consult that cache when ``--cache-dir`` is given (default:
 ``$REPRO_CACHE_DIR`` when set), making recompiles of unchanged programs
-near-free.  ``serve`` starts the long-lived compile server (DESIGN §10);
+near-free.  ``serve`` starts the long-lived compile server (DESIGN §10),
+which reads and writes that same cache directory;
 ``--workers N`` adds the supervised compile worker pool (DESIGN §13:
 parallel cold compiles, crash respawn, deadlines, load shedding,
 poison-pill quarantine, graceful SIGTERM drain).  ``submit`` sends a
@@ -346,8 +347,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         cache_dir=_resolve_cache_dir(args),
-        nshards=args.shards,
-        shard_capacity=args.shard_capacity,
         quiet=not args.verbose,
         workers=args.workers,
         queue_depth=args.queue_depth,
@@ -360,8 +359,7 @@ def cmd_serve(args) -> int:
     store = service.store
     print(f"compile service listening on http://{host}:{port}")
     print(f"artifact store: {store.root} "
-          f"({len(store.shards)} shards x {store.shards[0].capacity} "
-          f"artifacts)")
+          f"(up to {store.CAPACITY} artifacts)")
     if service.pool is not None:
         service.wait_ready(timeout_s=30.0)
         print(f"compile pool: {service.pool.alive_workers()}/"
@@ -549,12 +547,9 @@ def main(argv=None) -> int:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8737)
-    p_serve.add_argument("--shards", type=int, default=8,
-                         help="artifact-store shard count (lock stripes)")
-    p_serve.add_argument("--shard-capacity", type=int, default=256,
-                         help="max artifacts per shard before LRU eviction")
     p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="artifact-store root (default: "
+                         help="compile-cache directory, shared with "
+                              "compile/run (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro-dhpf)")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="compile worker processes (0 = compile "

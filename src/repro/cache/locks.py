@@ -1,8 +1,8 @@
 """Advisory cross-process file locks with stale-holder recovery.
 
-The persistent compile cache and the service artifact store are plain
-directories that several *processes* may read and write concurrently
-(parallel CI jobs, a compile server next to ad-hoc CLI invocations).
+The persistent compile cache is a plain directory that several
+*processes* may read and write concurrently (parallel CI jobs, a compile
+server next to ad-hoc CLI invocations).
 Artifact files themselves are always safe — they are written with
 tmp-file + ``os.replace`` so a reader never observes a torn file — but
 the *bookkeeping* around them (eviction scans, "is it already there?"

@@ -19,11 +19,13 @@ additionally serialize on a per-directory advisory ``.lock``
 (:class:`~repro.cache.locks.FileLock` — ``flock``, auto-released on
 process death, stale holders broken after a grace period): after
 acquiring it they re-check for an artifact another process may have
-published in the meantime and skip the duplicate write, which keeps
-maintenance bookkeeping (entry counts, eviction decisions in the sharded
-service store built on top of this class) from racing between
-processes.  Like any pickle store, the cache directory must be trusted —
-do not point ``--cache-dir`` at attacker-writable locations.
+published in the meantime and skip the duplicate write, then sweep the
+directory down to :attr:`CompileCache.CAPACITY` artifacts, oldest mtime
+first (a load hit refreshes the mtime, so the sweep is LRU).  The
+directory is the only bookkeeping: there is no index to corrupt.  The
+CLI and the compile service read and write the same directory.  Like
+any pickle store, the cache directory must be trusted — do not point
+``--cache-dir`` at attacker-writable locations.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional
@@ -91,29 +94,27 @@ def compute_fingerprint(
 
 
 class CompileCache:
-    """A directory of fingerprint-keyed compiled artifacts."""
+    """A bounded directory of fingerprint-keyed compiled artifacts.
+
+    ``hits``, ``misses``, ``stores`` and ``evictions`` count this
+    instance's own traffic (the service reports them in ``/stats``).
+    """
 
     #: Name of the per-directory advisory writer lock.
     LOCK_NAME = ".lock"
+    #: Most artifacts the directory keeps; each store evicts beyond it.
+    CAPACITY = 2048
 
-    def __init__(self, root: str, lock_timeout: float = 10.0,
-                 lock_stale_after: float = 30.0):
+    def __init__(self, root: str):
         self.root = Path(root)
-        self.lock_timeout = lock_timeout
-        self._lock = FileLock(
-            self.root / self.LOCK_NAME,
-            stale_after=lock_stale_after,
-            timeout=lock_timeout,
-        )
+        # FileLock's defaults: a 10 s wait, a stuck holder broken at 30 s.
+        self._lock = FileLock(self.root / self.LOCK_NAME)
+        self._mutex = threading.Lock()
+        self.hits = self.misses = self.stores = self.evictions = 0
 
-    @property
-    def lock(self) -> FileLock:
-        """The directory's advisory writer lock.  Callers doing their own
-        maintenance on the directory (e.g. the service store's LRU
-        eviction sweep) serialize on this same lock; it is *not*
-        re-entrant, so never wrap a call to :meth:`store`/:meth:`clear`
-        in it."""
-        return self._lock
+    def _count(self, counter: str) -> None:
+        with self._mutex:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     # -- paths -------------------------------------------------------------
 
@@ -144,39 +145,51 @@ class CompileCache:
             compiled = self._read(path, fingerprint)
         except FileNotFoundError:
             _COUNTS.misses += 1
+            self._count("misses")
             return None
         except Exception:
             # Corrupt/truncated/stale artifact: drop it and recompile.
             _COUNTS.misses += 1
+            self._count("misses")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         _COUNTS.hits += 1
+        self._count("hits")
+        # Refresh recency so the eviction sweep sees this artifact as live.
+        try:
+            os.utime(path, None)
+        except OSError:
+            pass
         return compiled
 
     def store(self, fingerprint: str, compiled) -> Path:
-        """Atomically write the artifact; returns its path.
+        """Atomically write the artifact, then evict; returns its path.
 
         Serializes with concurrent writing *processes* on the directory's
         advisory lock and re-checks after acquiring it: if another writer
         published a valid artifact for this fingerprint while we waited,
         the duplicate write is skipped (the racing compiles are required
-        to be byte-equivalent, so either copy serves).  If the lock
-        cannot be obtained even after stale-holder recovery, the write
-        proceeds unlocked — the tmp+rename protocol keeps that safe, it
-        merely readmits the benign duplicate-write race.
+        to be byte-equivalent, so either copy serves).  Still under the
+        lock, the directory is swept down to :attr:`CAPACITY`.  If the
+        lock cannot be obtained even after stale-holder recovery, the
+        write proceeds unlocked and the sweep waits for the next store —
+        the tmp+rename protocol keeps that safe, it merely readmits the
+        benign duplicate-write race.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(fingerprint)
+        self._count("stores")
         try:
             with self._lock:
-                if self._valid_artifact(fingerprint):
-                    return path
-                return self._write(fingerprint, compiled, path)
+                if not self._valid_artifact(fingerprint):
+                    self._write(fingerprint, compiled, path)
+                self._evict()
         except TimeoutError:
-            return self._write(fingerprint, compiled, path)
+            self._write(fingerprint, compiled, path)
+        return path
 
     def _valid_artifact(self, fingerprint: str) -> bool:
         """Is a loadable artifact for ``fingerprint`` already on disk?
@@ -227,13 +240,48 @@ class CompileCache:
 
     # -- maintenance -------------------------------------------------------
 
-    def stats(self) -> Dict[str, object]:
+    def _evict(self) -> None:
+        """Unlink oldest-mtime artifacts beyond :attr:`CAPACITY`; the
+        caller holds the writer lock, so two sweeps never race."""
         artifacts = self._artifacts()
-        return {
-            "dir": str(self.root),
-            "entries": len(artifacts),
-            "bytes": sum(p.stat().st_size for p in artifacts),
-        }
+        if len(artifacts) <= self.CAPACITY:
+            return
+        aged = []
+        for path in artifacts:
+            try:
+                aged.append((path.stat().st_mtime, path))
+            except OSError:
+                continue
+        aged.sort()
+        for _, path in aged[:len(aged) - self.CAPACITY]:
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            self._count("evictions")
+
+    def stats(self) -> Dict[str, object]:
+        """Entries and bytes on disk plus this instance's counters.
+
+        A file another thread or process unlinks between the listing and
+        its ``stat`` (an eviction, a ``clear``) is simply not counted.
+        """
+        sizes = []
+        for path in self._artifacts():
+            try:
+                sizes.append(path.stat().st_size)
+            except FileNotFoundError:
+                continue
+        with self._mutex:
+            return {
+                "dir": str(self.root),
+                "entries": len(sizes),
+                "bytes": sum(sizes),
+                "hits": self.hits,
+                "misses": self.misses,
+                "stores": self.stores,
+                "evictions": self.evictions,
+            }
 
     def clear(self) -> int:
         """Delete every artifact; returns how many were removed.
@@ -244,7 +292,7 @@ class CompileCache:
         """
         removed = 0
         try:
-            lock = self._lock.acquire(timeout=self.lock_timeout)
+            lock = self._lock.acquire()
         except TimeoutError:
             lock = None
         try:

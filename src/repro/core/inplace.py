@@ -60,10 +60,6 @@ class InPlaceResult:
     comm_set: Optional[IntegerSet] = None
     array_bounds: Optional[IntegerSet] = None
 
-    @property
-    def provably_contiguous(self) -> bool:
-        return self.answer is Answer.TRUE
-
 
 def analyze_contiguity(
     comm_set: IntegerSet, array_bounds: IntegerSet

@@ -98,9 +98,6 @@ class ProcessorGrid:
             return LinExpr.const(value)
         return value
 
-    def is_symbolic(self, dim: int) -> bool:
-        return not isinstance(self.extents[dim], int)
-
     def dim_bounds(self, dim: int) -> List[Constraint]:
         """0 <= p_dim <= extent - 1 as constraints on the grid dim name."""
         p = LinExpr.var(self.dim_names[dim])
@@ -116,19 +113,3 @@ class ProcessorGrid:
             constraints.extend(self.dim_bounds(dim))
         return IntegerSet.from_constraints(self.dim_names, constraints)
 
-    def total_procs_value(self, nprocs: int) -> List[int]:
-        """Concrete per-dim extents for ``nprocs`` (evaluating parameters
-        requires only ``nprocs`` in the common case); raises otherwise."""
-        from ..lang.interp import Interpreter  # deferred to avoid cycles
-
-        values = []
-        for value in self.extents:
-            if isinstance(value, int):
-                values.append(value)
-            else:
-                env = {"nprocs": nprocs}
-                total = value.evaluate(
-                    {name: env.get(name, 0) for name in value.variables()}
-                )
-                values.append(total)
-        return values

@@ -457,10 +457,6 @@ class IntegerSet(_Presburger):
         ]
         return self.constrain(extra)
 
-    def as_identity_map(self) -> "IntegerMap":
-        """Lift to the identity map restricted to this set."""
-        return IntegerMap.identity(self.space.in_dims).restrict_domain(self)
-
     def __str__(self) -> str:
         dims = ",".join(self.space.in_dims)
         return f"{{[{dims}] : {self._body_str()}}}"

@@ -322,12 +322,6 @@ class Program:
                 return decl
         raise KeyError(f"no template named {name!r}")
 
-    def processors_decl(self, name: str) -> ProcessorsDecl:
-        for decl in self.processors:
-            if decl.name == name:
-                return decl
-        raise KeyError(f"no processors named {name!r}")
-
     def align_for(self, array: str) -> Optional[AlignDecl]:
         for decl in self.aligns:
             if decl.array == array:

@@ -1,8 +1,9 @@
 """Long-lived compile service (see DESIGN.md §10 and §13).
 
 A threaded HTTP server multiplexing concurrent compile+run requests over
-a sharded, cross-process-safe artifact store with single-flight batching
-of identical in-flight compiles, and (``workers >= 1``) a supervised
+the CLI's own persistent compile cache (one flat, cross-process-safe
+``CompileCache`` directory) with single-flight batching of identical
+in-flight compiles, and (``workers >= 1``) a supervised
 pre-forked worker pool running the actual compiles in parallel:
 
 * :mod:`repro.service.server` — :class:`CompileService` (the
@@ -12,8 +13,6 @@ pre-forked worker pool running the actual compiles in parallel:
 * :mod:`repro.service.supervisor` — per-slot supervision: crash
   detection + respawn backoff, compile deadlines, poison-pill
   quarantine;
-* :mod:`repro.service.store` — fingerprint-prefix-sharded artifact
-  store, lock-striped, per-shard LRU eviction;
 * :mod:`repro.service.singleflight` — in-flight request coalescing with
   leader-failure handoff;
 * :mod:`repro.service.client` — keep-alive JSON client with bounded
@@ -28,10 +27,8 @@ from .pool import PoolDrainingError, PoolSaturatedError, WorkerPool
 from .server import CompileService, ServiceHTTPServer, create_server
 from .singleflight import SingleFlight
 from .supervisor import Quarantine, RemoteCompileError, WorkerSupervisor
-from .store import ArtifactShard, ShardedArtifactStore
 
 __all__ = [
-    "ArtifactShard",
     "CompileService",
     "PoolDrainingError",
     "PoolSaturatedError",
@@ -41,7 +38,6 @@ __all__ = [
     "ServiceError",
     "ServiceHTTPServer",
     "ServiceOverloadedError",
-    "ShardedArtifactStore",
     "SingleFlight",
     "WorkerPool",
     "WorkerSupervisor",

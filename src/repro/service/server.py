@@ -4,8 +4,8 @@ Architecture (stdlib only)::
 
     ThreadingHTTPServer (one thread per connection, keep-alive)
         └── CompileService          protocol-agnostic core, also usable
-            ├── ShardedArtifactStore    in-process directly (tests, the
-            ├── SingleFlight            cache-roundtrip gate)
+            ├── CompileCache        in-process directly (tests, the
+            ├── SingleFlight        cache-roundtrip gate)
             ├── ServerMetrics
             └── WorkerPool          optional (workers >= 1): actual
                                     compiles run in supervised worker
@@ -15,8 +15,11 @@ Request flow for ``POST /run`` (``/compile`` stops after step 3):
 
 1. parse+validate the JSON body (:mod:`repro.service.protocol`);
 2. fingerprint the (source, options) pair — the same fingerprint the
-   PR 3 persistent cache uses, so server and CLI caches interoperate;
-3. resolve the artifact: in-memory LRU → sharded disk store →
+   CLI's persistent cache uses;
+3. resolve the artifact: in-memory LRU → the persistent
+   :class:`~repro.cache.persist.CompileCache` directory (the very files
+   ``repro compile --cache-dir`` reads and writes, so server and CLI
+   caches interoperate) →
    **single-flight compile** (concurrent identical fingerprints compile
    once; waiters are counted as *coalesced*).  ``caching="off"``
    requests bypass every layer — the A/B guarantee holds through the
@@ -26,11 +29,11 @@ Request flow for ``POST /run`` (``/compile`` stops after step 3):
    one client (``ok: false`` with the taxonomy name and transience);
    the server itself never dies with the request.
 
-``GET /stats`` reports per-shard hit/miss/eviction counters, in-memory
-artifact cache stats, single-flight coalescing totals, queue depth, and
-p50/p99 latency per request class.  ``POST /shutdown`` stops the server
-(the server binds loopback by default; there is no authentication —
-do not expose it beyond a trusted host).
+``GET /stats`` reports the artifact store's hit/miss/eviction counters,
+in-memory artifact cache stats, single-flight coalescing totals, queue
+depth, and p50/p99 latency per request class.  ``POST /shutdown`` stops
+the server (the server binds loopback by default; there is no
+authentication — do not expose it beyond a trusted host).
 """
 
 from __future__ import annotations
@@ -42,7 +45,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..cache.manager import LRUCache, caches
-from ..cache.persist import compute_fingerprint, default_cache_dir
+from ..cache.persist import (
+    CompileCache,
+    compute_fingerprint,
+    default_cache_dir,
+)
 from ..core.driver import CompiledProgram, compile_program
 from ..isets.profile import SetOpProfiler
 from ..runtime.errors import CommunicationError, is_transient
@@ -60,7 +67,6 @@ from .protocol import (
     sha256_text,
 )
 from .singleflight import SingleFlight
-from .store import ShardedArtifactStore
 
 DEFAULT_PORT = 8737
 
@@ -71,8 +77,6 @@ class CompileService:
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        nshards: int = 8,
-        shard_capacity: int = 256,
         memory_artifacts: int = 64,
         workers: int = 0,
         queue_depth: int = 16,
@@ -80,11 +84,7 @@ class CompileService:
         compile_deadline_s: float = 60.0,
         pool_fault_plan: Optional[FaultPlan] = None,
     ):
-        self.store = ShardedArtifactStore(
-            cache_dir or default_cache_dir(),
-            nshards=nshards,
-            shard_capacity=shard_capacity,
-        )
+        self.store = CompileCache(cache_dir or default_cache_dir())
         self.flight = SingleFlight()
         self.metrics = ServerMetrics()
         # workers=0: compile in-process (the pre-pool behavior, right
@@ -392,11 +392,13 @@ class CompileService:
             }.items()
             if s.lookups or s.size
         }
+        store = self.store.stats()
         return {
             "ok": True,
             "uptime_s": round(time.time() - self.started_at, 3),
             "draining": self._draining,
-            "store": self.store.stats(),
+            "store": {"dir": store.pop("dir"),
+                      "capacity": self.store.CAPACITY, "totals": store},
             "single_flight": {
                 "led": self.flight.led_total,
                 "coalesced": self.flight.coalesced_total,
@@ -547,8 +549,6 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     cache_dir: Optional[str] = None,
-    nshards: int = 8,
-    shard_capacity: int = 256,
     quiet: bool = True,
     service: Optional[CompileService] = None,
     workers: int = 0,
@@ -561,8 +561,6 @@ def create_server(
     port, readable afterwards from ``server.server_address``."""
     service = service or CompileService(
         cache_dir=cache_dir,
-        nshards=nshards,
-        shard_capacity=shard_capacity,
         workers=workers,
         queue_depth=queue_depth,
         quarantine_after=quarantine_after,

@@ -40,8 +40,7 @@ def variant(tag: int) -> str:
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     root = tmp_path_factory.mktemp("service-store")
-    server = create_server(port=0, cache_dir=str(root), nshards=4,
-                           shard_capacity=16)
+    server = create_server(port=0, cache_dir=str(root))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -205,15 +204,15 @@ def test_two_services_in_one_process_share_no_artifacts(tmp_path):
     assert a.stats()["memo_caches"]["service.artifacts"]["evictions"] == 0
 
 
-def test_stats_shape(client):
+def test_stats_shape(client, server):
     client.compile(variant(1))  # guarantee at least one hot hit
     stats = client.stats()
     assert stats["ok"]
     totals = stats["store"]["totals"]
     assert set(totals) == {"entries", "bytes", "hits", "misses",
                           "stores", "evictions"}
-    assert stats["store"]["nshards"] == 4
-    assert len(stats["store"]["shards"]) == 4
+    assert stats["store"]["dir"] == str(server.service.store.root)
+    assert stats["store"]["capacity"] == 2048
     assert stats["single_flight"]["led"] >= 1
     assert stats["queue_depth"]["peak"] >= 1
     latency = stats["latency"]
@@ -221,6 +220,41 @@ def test_stats_shape(client):
     assert latency["compile_cold"]["p99_ms"] >= latency["compile_cold"]["p50_ms"] * 0 + 0
     assert "run" in latency
     assert stats["counters"]["run.ok"] >= 1
+
+
+# -- one artifact store: the service and the CLI share the directory ------
+
+
+def test_cli_compile_is_served_hot(tmp_path):
+    from repro.service.server import CompileService
+
+    compile_program(variant(50), CompilerOptions(cache_dir=str(tmp_path)))
+    service = CompileService(cache_dir=str(tmp_path))
+    assert service.compile_source(variant(50))[1]["cache"] == "hot"
+
+
+def test_service_compile_is_cli_cache_hit(tmp_path):
+    from repro.service.server import CompileService
+
+    service = CompileService(cache_dir=str(tmp_path))
+    assert service.compile_source(variant(51))[1]["cache"] == "cold"
+    compiled = compile_program(
+        variant(51), CompilerOptions(cache_dir=str(tmp_path))
+    )
+    assert compiled.cache_hit
+
+
+def test_cache_stats_and_clear_see_service_artifacts(tmp_path, capsys):
+    from repro.service.server import CompileService
+
+    service = CompileService(cache_dir=str(tmp_path))
+    for tag in (52, 53):
+        service.compile_source(variant(tag))
+    assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+    assert "artifacts: 2 " in capsys.readouterr().out
+    assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "removed 2 artifact(s)" in capsys.readouterr().out
+    assert list(tmp_path.rglob("cc-*.pkl")) == []
 
 
 # -- CLI verbs -------------------------------------------------------------
