@@ -103,25 +103,27 @@ def programs():
 #: determinism fix (stride residues reduced mod their modulus at
 #: emission).  Re-pinned again when codegen began scanning the
 #: self-inclusive communication maps (DESIGN §11): every partner still
-#: receives the same elements, in fewer disjoint pieces.
+#: receives the same elements, in fewer disjoint pieces.  Re-pinned when
+#: codegen began writing each event once, as an ``_ev_<tag>`` function
+#: called at every anchor: same messages, a fraction of the bytes.
 BENCHMARK_SHAS = {
     "jacobi": (
-        "6cd906b7a7ff6d24fb7ee12b32c6c79a44da41ccc3f8523288c974b92d93794a"
+        "4d68453f1c0727507891e4035a4603fed8b3fe8e162ef8f914a9f756499867e0"
     ),
     "tomcatv": (
-        "428c3078aaaf64ebcf13e9c3322e64f5e82140ab5208cd8fc43852bfb3986e24"
+        "20ad5e7605a69b54da3325b1d3a48ec659bd3c3e8671812261e82488faf37d84"
     ),
     "erlebacher": (
-        "c1d13d07001c7048b72df46b6e6355e53cac5822f49b91078c33e975b7253f5c"
+        "9e8ae9b91affaaaac022139cedaa028a56a89c43115c4a7f1a4a759f39922caf"
     ),
     "gauss": (
-        "582d7d406c5c172a827ddd76d553944d87011635379f517e5125361a770be5be"
+        "60bca4dbeb7479b8515d988d0b83bae8fc7ea04ac1a856f7368e5016042a0015"
     ),
     "redblack": (
-        "72ccaf9dad09a01716d40aa7086f9f5eeebf59e61566e57710b5faccfbd1d1c0"
+        "d08b3722d495e7c0f240b5b6fa2ce6fb7b62c0ab13814eb80179a4e89cdf1232"
     ),
     "sp_like": (
-        "73a538121d43b005e874d37bfe2aa11b52abe90086a6c9488c5c8af4284b9c47"
+        "b730dae2feb8a422c3dabfada6f03eaaf979fa99c4eb757c7ca6b7a46e304ebf"
     ),
 }
 

@@ -45,7 +45,7 @@ from .manager import caches
 
 #: Bump when the artifact layout changes incompatibly, and on every
 #: re-pin of the emitted node programs (DESIGN §11).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _ARTIFACT_PREFIX = "cc-"
 _ARTIFACT_SUFFIX = ".pkl"

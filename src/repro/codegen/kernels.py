@@ -222,12 +222,12 @@ def _fold_statement_guard(be, cp, var, piece_conjunct, prefix_vars):
     set does not fold (disjunctions, equalities pinning the loop var,
     stride residues on the loop var, unpivotable wildcards).
     """
-    if getattr(be, "_skip_guard", None) is cp:
+    if be._skip_guard is cp:
         return [], [], []
     if cp.replicated or not cp.iter_dims:
         return [], [], []
     iters = cp.local_iterations
-    restrict = getattr(be, "_section_restrict", None)
+    restrict = be._section_restrict
     if restrict is not None:
         iters = iters.intersect(restrict)
     simplified = iters.simplify()

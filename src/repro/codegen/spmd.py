@@ -10,7 +10,8 @@ paper:
   membership guards (hierarchical MMCodeGen usage, §5);
 * communication events emit pack / send / recv / unpack code driven by
   ``SendCommMap`` / ``RecvCommMap`` (§3.2), wrapped in physical-partner
-  loops and virtual-processor loops per Figure 6;
+  loops and virtual-processor loops per Figure 6 — once per procedure, as
+  a module-level ``_ev_<tag>`` function called at every anchor;
 * block-distributed VP dims need no VP loops (one active VP per processor,
   §4.1); cyclic dims get VP loops restricted to the active sets (Figure 5);
 * loop splitting emits the Figure 4(b) schedule;
@@ -21,6 +22,8 @@ paper:
 from __future__ import annotations
 
 import itertools
+import keyword
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -147,7 +150,6 @@ class SpmdEmitter:
         self._work_counter = itertools.count()
         self._kernel_counter = itertools.count()
         self.kernel_report: List[Tuple[int, str, str, str]] = []
-        self._listing: List[str] = []
 
     # ------------------------------------------------------------------ module
 
@@ -179,7 +181,9 @@ class SpmdEmitter:
     # --------------------------------------------------------------- procedures
 
     def _emit_procedure(self, writer: SourceWriter, procedure: L.Procedure):
+        """``def proc_<name>(rt)``, preceded by its event functions."""
         analysis = self.analyses[procedure.name]
+        start = len(writer.lines)
         writer.line(f"def proc_{procedure.name}(rt):")
         writer.push()
         writer.line("env = rt.env")
@@ -192,6 +196,7 @@ class SpmdEmitter:
         body_writer.emit_body(procedure.body, [])
         writer.line("return None")
         writer.pop()
+        writer.lines[start:start] = body_writer.event_defs.lines
 
     def _symbols_needed(self) -> List[str]:
         names = ["nprocs"]
@@ -240,6 +245,16 @@ class _BodyEmitter:
         self._open_vp_grid_dims: set = set()
         # reductions pending per Do node id
         self._work_var = f"_w{next(emitter._work_counter)}"
+        # single-statement scope whose loop bounds make its guard redundant
+        self._skip_guard: Optional[CPInfo] = None
+        # loop-split section being emitted (Figure 4(b)), else None
+        self._section_restrict: Optional[IntegerSet] = None
+        self._section_name: Optional[str] = None
+        self._section_split: Optional[SplitSets] = None
+        # module-level event functions, and the call line per emitted
+        # (event, rename) — see _emit_event
+        self.event_defs = SourceWriter()
+        self._event_calls: Dict[Tuple[int, Tuple], str] = {}
 
     # ------------------------------------------------------------- body walk
 
@@ -298,7 +313,12 @@ class _BodyEmitter:
     def _emit_split_schedule(self, do: L.Do, loop_path, split_plan):
         """Figure 4(b): SEND reads; execute LocalIters; RECV reads;
         execute NLROIters — overlapping the receive latency with the local
-        section, and freeing the local section of buffer checks."""
+        section, and freeing the local section of buffer checks.
+
+        The event's two sides stay inline here rather than becoming an
+        ``_ev_*`` function: the local section separates them, and the
+        schedule is the event's only emission, so there is no repeat to
+        share."""
         event, split = split_plan
         self.w.line(f"# --- loop splitting ({event.tag}) ---")
         self._emit_send_side(event)
@@ -336,7 +356,7 @@ class _BodyEmitter:
                     f"enclosing loop)"
                 )
         iters = cp.local_iterations
-        restrict = getattr(self, "_section_restrict", None)
+        restrict = self._section_restrict
         if restrict is not None and not cp.replicated:
             iters = iters.intersect(restrict).simplify()
         dims = cp.iter_dims
@@ -359,7 +379,7 @@ class _BodyEmitter:
         single-statement scopes mark the guard skippable at the Do level by
         setting ``self._skip_guard``.
         """
-        if getattr(self, "_skip_guard", None) is cp:
+        if self._skip_guard is cp:
             return None
         simplified = iters.simplify()
         guard = emit_set_guard(simplified, self.rename)
@@ -405,12 +425,10 @@ class _BodyEmitter:
         ]
         if not refs:
             return 0
-        split = getattr(self, "_section_split", None)
-        section_name = getattr(self, "_section_name", None)
+        split = self._section_split
+        section_name = self._section_name
         if split is None or section_name is None:
             return len(refs)
-        from ..core.loopsplit import reference_needs_checks
-
         section = (
             split.local_iters if section_name == "local"
             else split.nl_ro_iters
@@ -467,7 +485,7 @@ class _BodyEmitter:
             self._open_vp_loops(vp_dims, busy)
             self._open_vp_grid_dims.update(o.grid_dim for o in vp_dims)
 
-        restrict = getattr(self, "_section_restrict", None)
+        restrict = self._section_restrict
         union: Optional[IntegerSet] = None
         for cp in cps:
             iters = cp.local_iterations
@@ -483,7 +501,7 @@ class _BodyEmitter:
         # the events' active outer iterations.
         widened = False
         for analyzed in inner_events:
-            outer = getattr(analyzed, "outer_iters", None)
+            outer = analyzed.outer_iters
             if outer is None:
                 continue
             projected = outer.project_onto(
@@ -957,10 +975,35 @@ class _BodyEmitter:
                 self._emit_event(event)
 
     def _emit_event(self, event: AnalyzedEvent):
-        self.w.line(f"# --- communication event {event.tag} "
-                    f"({event.placed.event.array}) ---")
-        self._emit_send_side(event)
-        self._emit_recv_side(event)
+        """One call line at the anchor; the event's code is written once
+        per procedure, as ``def _ev_<tag>(rt, ...)`` in ``event_defs``.
+
+        The code depends on the event and the ``*_cur`` renames only, so
+        a repeat anchor (the same statement emitted in several disjoint
+        loop pieces) reuses the function.  Its parameters are the names
+        the written body reads but never assigns: enclosing loop
+        variables and procedure bindings, passed under their own names so
+        the task-graph planner can inline the call by reference."""
+        key = (id(event), tuple(sorted(self.rename.items())))
+        call = self._event_calls.get(key)
+        if call is None:
+            outer, self.w = self.w, SourceWriter()
+            self.w.push()
+            self.w.line(f"# --- communication event {event.tag} "
+                        f"({event.placed.event.array}) ---")
+            self._emit_send_side(event)
+            self._emit_recv_side(event)
+            body, self.w = self.w, outer
+            if len(body.lines) == 1:
+                body.line("pass")  # both sides empty
+            variant = sum(k[0] == key[0] for k in self._event_calls)
+            name = f"_ev_{event.tag}" + (f"_{variant}" if variant else "")
+            args = ", ".join(["rt"] + _free_names(body.text()))
+            self.event_defs.line(f"def {name}({args}):")
+            self.event_defs.lines += body.lines
+            self.event_defs.line()
+            call = self._event_calls[key] = f"{name}({args})"
+        self.w.line(call)
 
     # The send side: pack per partner, then send (Figure 6 structure).
     def _emit_send_side(self, event: AnalyzedEvent):
@@ -1031,11 +1074,9 @@ class _BodyEmitter:
         bufs = f"_bufs_{tag}_{verb}"
         self.w.line(f"{bufs} = {{}}")
         # My-side VP loops (cyclic dims): restrict to active VPs of myid.
-        opened_my = 0
         if my_vp_dims:
             use = active if self.options.active_vp else None
             self._open_vp_loops(my_vp_dims, use)
-            opened_my = len(my_vp_dims)
         # Physical partner loops, one per grid dim.
         partner_vars = []
         for dim in range(grid.rank):
@@ -1112,9 +1153,8 @@ class _BodyEmitter:
         self.w.pop()  # else:
         for _ in range(grid.rank):
             self.w.pop()
-        if opened_my:
+        if my_vp_dims:
             self._close_vp_loops(my_vp_dims)
-            opened_my = 0
 
         # Transfer phase.
         if sending:
@@ -1264,18 +1304,7 @@ class _BodyEmitter:
             emit_leaf(node.payload)
             return
         if isinstance(node, GuardNode):
-            terms = [
-                f"({emit_linexpr(c.expr, rename)} "
-                f"{'==' if c.is_equality else '>='} 0)"
-                for c in node.constraints
-            ]
-            terms += [
-                f"({emit_linexpr(expr, rename)}) % {modulus} == 0"
-                for expr, modulus in node.mods
-            ]
-            conds = " and ".join(terms) or "True"
-            self.w.line(f"if {conds}:")
-            self.w.push()
+            self._emit_guard_open(node, rename)
             for child in node.body:
                 self._emit_loop_node(child, rename, emit_leaf)
             self.w.pop()
@@ -1299,6 +1328,35 @@ class _BodyEmitter:
             self.w.pop()
             return
         raise CodegenError(f"unknown loop node {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Event-function parameters
+# ---------------------------------------------------------------------------
+
+#: what an event body's text holds besides code: ``'name'`` literals
+#: (codegen writes no other strings) and the header comment.
+_LITERAL = re.compile(r"'[^'\n]*'|#[^\n]*")
+#: names a statement binds: ``for a, b in`` targets and ``x = `` targets.
+_BOUND = re.compile(r"^ *(?:for ([\w, ]+) in |(\w+) = )", re.MULTILINE)
+#: identifiers read as values: not an attribute (``.x``), a callee
+#: (``x(``) or a keyword argument (``x=``).
+_VALUE = re.compile(r"(?<![.\w])[A-Za-z_]\w*(?![\w(]|=(?!=))")
+_KEYWORDS = frozenset(keyword.kwlist)
+
+
+def _free_names(body: str) -> List[str]:
+    """Names an event body reads as values but never binds, sorted, minus
+    ``rt``.  A lexical scan of the written text, several times cheaper
+    than parsing it; tests check it against the parsed body."""
+    text = _LITERAL.sub("", body)
+    bound = {
+        name.strip()
+        for targets, target in _BOUND.findall(text)
+        for name in (targets.split(",") if targets else [target])
+    }
+    read = set(_VALUE.findall(text)) - _KEYWORDS
+    return sorted(read - bound - {"rt"})
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,10 @@ unlinked on every exit path.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
+import os
 import queue as queue_mod
 import struct
 import time
@@ -472,6 +474,33 @@ class MPNodeRuntime(NodeRuntimeBase):
         return value
 
 
+_SEGMENT_SEQ = itertools.count()
+
+
+def shm_prefix() -> str:
+    """Name prefix of the ring segments this process creates.
+
+    Python's default ``psm_<random>`` names are indistinguishable from any
+    other ``SharedMemory`` user on the host; a pid-scoped prefix lets a
+    leak check count only this process's segments."""
+    return f"repro_{os.getpid()}_"
+
+
+def _create_shm(size: int):
+    """A fresh segment named ``repro_<pid>_<n>``; a name left behind by an
+    earlier process with the same pid is skipped, never reused."""
+    from multiprocessing import shared_memory
+
+    while True:
+        name = f"{shm_prefix()}{next(_SEGMENT_SEQ)}"
+        try:
+            return shared_memory.SharedMemory(
+                name=name, create=True, size=size
+            )
+        except FileExistsError:
+            continue
+
+
 def _attach_shm(name: str):
     """Attach the parent's segment without adopting cleanup duties.
 
@@ -582,8 +611,6 @@ class MultiprocessBackend(ExecutionBackend):
         self.ring_bytes = ring_bytes
 
     def launch(self, spec: LaunchSpec) -> LaunchResult:
-        from multiprocessing import shared_memory
-
         ctx = multiprocessing.get_context()
         nprocs = spec.nprocs
         ring_bytes = _ring_bytes_for(nprocs, self.ring_bytes)
@@ -597,7 +624,7 @@ class MultiprocessBackend(ExecutionBackend):
                 f"{plan.seed})"
             )
         try:
-            shm = shared_memory.SharedMemory(create=True, size=shm_size)
+            shm = _create_shm(shm_size)
         except OSError as exc:
             raise LaunchError(
                 f"shared-memory allocation of {shm_size} bytes failed: "

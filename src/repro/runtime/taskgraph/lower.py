@@ -2,12 +2,18 @@
 
 The emitted node program (see :mod:`repro.codegen.spmd`) is a flat
 sequence of top-level statements per procedure: prelude bindings, kernel
-pieces, communication gather/send/recv loops, work-counter flushes, and
-sequential *phase loops* (``for iter in range(...)``) whose bodies repeat
-that structure per iteration.  This module re-parses that program with
-:mod:`ast` — codegen itself is untouched, and the artifact bytes stay
-pinned — and turns it into a :class:`~repro.runtime.taskgraph.plan.TaskPlan`:
+pieces, communication-event calls, work-counter flushes, and sequential
+*phase loops* (``for iter in range(...)``) whose bodies repeat that
+structure per iteration.  This module re-parses that program with
+:mod:`ast` and turns it into a
+:class:`~repro.runtime.taskgraph.plan.TaskPlan`:
 
+0. **Event inlining** — codegen writes each communication event once, as
+   a module-level ``_ev_<tag>(rt, ...)`` function called at every anchor
+   with its parameter names as arguments.  Each call statement is
+   replaced by the function's body statements *by reference* (never
+   copied), so the gather/send/recv loops are top-level statements again
+   and every anchor shares one statement object per body statement.
 1. **Segmentation** — each top-level statement becomes a work-unit
    template; consecutive plain statements that would be chained anyway
    are merged.  ``rt.*`` calls classify the segment (send / recv /
@@ -41,7 +47,8 @@ pinned — and turns it into a :class:`~repro.runtime.taskgraph.plan.TaskPlan`:
 Anything the planner cannot prove safe degrades conservatively: an
 unevaluable phase loop stays one (possibly blocking) unit, a program
 without the generated-module marker gets the trivial one-unit-per-rank
-plan, and a planning failure of any kind falls back the same way.
+plan, and a planning failure of any kind (an event call whose arguments
+are not its parameter names, say) falls back the same way.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ MAX_SEGMENTS_PER_RANK = 4000
 _COMM_METHODS = {"send", "send_section", "recv", "recv_section"}
 _COLLECTIVE_METHODS = {"allreduce", "barrier"}
 _ACCOUNTING_METHODS = {"work", "check", "member"}
+#: module functions whose calls have an unknown footprint.
+_CALL_PREFIXES = ("proc_", "_ev_")
 
 
 def trivial_plan(nprocs: int, note: str) -> TaskPlan:
@@ -304,8 +313,12 @@ class _FootprintVisitor(ast.NodeVisitor):
                 # the inner expression carries the real footprint.
                 self.visit(func.value)
         elif isinstance(func, ast.Name):
-            if func.id.startswith("proc_") and func.id in self.module_fns:
-                # Whole-procedure call: unknown footprint.
+            if (
+                func.id.startswith(_CALL_PREFIXES)
+                and func.id in self.module_fns
+            ):
+                # Whole-procedure (or un-inlined event) call: unknown
+                # footprint.
                 self.info.unknown_calls += 1
             else:
                 self._read(func.id)
@@ -423,7 +436,7 @@ def _contains_comm(stmt: ast.stmt, rt_name: str, module_fns: Set[str]) -> bool:
             return True
         if (
             isinstance(func, ast.Name)
-            and func.id.startswith("proc_")
+            and func.id.startswith(_CALL_PREFIXES)
             and func.id in module_fns
         ):
             return True
@@ -493,6 +506,46 @@ class _Segment:
 
 class _PlanError(Exception):
     """Planning cannot proceed; the caller degrades to a trivial plan."""
+
+
+def _inline_events(
+    stmts: List[ast.stmt], fns: Dict[str, ast.FunctionDef], rt_name: str
+) -> List[ast.stmt]:
+    """Replace every ``_ev_*(rt, ...)`` call statement, at any nesting
+    depth, by the callee's body statements — the same objects at every
+    site, so the ``stmt_code`` cache of :func:`_build_segments` hits.
+
+    Sharing is sound because the caller passes each parameter under its
+    own name, so the inlined body reads the values the function would
+    have received; the plan is then the inline emission's plan.  A call
+    passing anything else raises :class:`_PlanError`.
+    """
+    out: List[ast.stmt] = []
+    for stmt in stmts:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id.startswith("_ev_")
+            and call.func.id in fns
+        ):
+            for block in ("body", "orelse"):
+                if getattr(stmt, block, None):
+                    setattr(stmt, block, _inline_events(
+                        getattr(stmt, block), fns, rt_name
+                    ))
+            out.append(stmt)
+            continue
+        callee = fns[call.func.id]
+        params = [arg.arg for arg in callee.args.args]
+        passed = [getattr(arg, "id", None) for arg in call.args]
+        if call.keywords or passed != params or params[:1] != [rt_name]:
+            raise _PlanError(
+                f"cannot inline {callee.name}: arguments "
+                f"{passed} are not its parameters {params}"
+            )
+        out.extend(callee.body)
+    return out
 
 
 def _target_procedure(
@@ -796,6 +849,7 @@ def _build_segmented_plan(
     notes: List[str] = []
     tree = ast.parse(source)
     target, fns, rt_name = _target_procedure(tree)
+    target.body = _inline_events(target.body, fns, rt_name)
     module_fns = set(fns)
     arrays = set(getattr(bindings[0], "array_shapes", {}) or {})
     envs = [dict(b.env) for b in bindings]

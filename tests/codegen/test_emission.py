@@ -1,5 +1,6 @@
 """Unit tests for Python-source emission and generated-module structure."""
 
+import ast
 import re
 
 import pytest
@@ -168,3 +169,49 @@ def test_runtime_inplace_checks_registered_once(name):
     assert len(names) == len(set(names))
     read = re.findall(r"rt\.inplace\['([^']+)'\]", compiled.source)
     assert set(names) == set(read)
+
+
+#: events each program's procedures emit (sp_like's ``main`` analyses
+#: two events whose anchors sit in ``sweep1``, which emits them).
+EMITTED_EVENTS = {
+    "erlebacher": 2, "gauss": 1, "jacobi": 1, "redblack": 2,
+    "sp_like": 2, "tomcatv": 2, "widehalo": 1,
+}
+
+
+@pytest.mark.parametrize("name", programs.__all__)
+def test_each_event_is_emitted_once(name):
+    """One module-level ``_ev_<tag>`` function per emitted event, called
+    at every anchor (widehalo: 1 definition, 23 calls — it used to be 23
+    inline copies).  Its parameters are exactly the names the parsed body
+    reads as values (callees aside) and never binds."""
+    compiled = compile_program(_program_source(name))
+    source = compiled.source
+    tags = {
+        event.tag
+        for analysis in compiled.analyses.values()
+        for event in analysis.events
+    }
+    defs = re.findall(r"^def (_ev_\w+)\(rt\b", source, re.MULTILINE)
+    calls = re.findall(r"^ +(_ev_\w+)\(rt\b", source, re.MULTILINE)
+    assert len(defs) == len(set(defs)) == EMITTED_EVENTS[name]
+    assert set(defs) <= {f"_ev_{tag}" for tag in tags}
+    assert set(calls) == set(defs)
+    assert source.count("# --- communication event") == len(defs)
+    if name == "widehalo":
+        assert len(calls) == 23
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in defs):
+            continue
+        callees = {
+            id(node.func)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+        }
+        loads, stores = set(), set()
+        for node in ast.walk(ast.Module(body=fn.body, type_ignores=[])):
+            if isinstance(node, ast.Name) and id(node) not in callees:
+                bucket = loads if isinstance(node.ctx, ast.Load) else stores
+                bucket.add(node.id)
+        params = [arg.arg for arg in fn.args.args]
+        assert params == ["rt"] + sorted(loads - stores - {"rt"}), fn.name

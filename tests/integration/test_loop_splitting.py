@@ -65,6 +65,8 @@ def test_split_programs_validate(src, mode):
     options = CompilerOptions(loop_split=True, buffer_mode=mode)
     compiled = compile_program(src, options)
     assert "# --- loop splitting" in compiled.source
+    # the split event's two sides stay inline, around the local section
+    assert "def _ev_" not in compiled.source
     for nprocs in (1, 3):
         run_compiled(
             compiled, params={"n": 14, "niter": 2}, nprocs=nprocs

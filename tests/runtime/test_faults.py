@@ -36,6 +36,7 @@ from repro.runtime import (
     get_backend,
     is_transient,
 )
+from repro.runtime.backends.mp import shm_prefix
 from repro.runtime.harness import _supervised_launch
 
 BACKENDS = ("threads", "mp", "inproc-seq")
@@ -89,9 +90,11 @@ def _spec(
 
 
 def _shm_segments():
+    """This process's mp ring segments (other processes' never count)."""
     if not os.path.isdir("/dev/shm"):
         return set()
-    return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+    prefix = shm_prefix()
+    return {f for f in os.listdir("/dev/shm") if f.startswith(prefix)}
 
 
 @pytest.fixture

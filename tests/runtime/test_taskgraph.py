@@ -15,7 +15,10 @@ Three layers, mirroring the subsystem's structure:
   leaked worker threads, with warnings escalated to errors.
 """
 
+import ast
+import collections
 import random
+import re
 import threading
 import time
 import warnings
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro import compile_program, run_compiled
-from repro.programs import gauss
+from repro.programs import gauss, widehalo
 from repro.runtime import (
     FaultPlan,
     LaunchSpec,
@@ -36,6 +39,7 @@ from repro.runtime import (
     is_transient,
 )
 from repro.runtime.harness import build_launch_spec, independent_arrays
+from repro.runtime.taskgraph import lower
 from repro.runtime.taskgraph import (
     build_task_plan,
     condense,
@@ -317,6 +321,89 @@ class TestPlanConstruction:
         compiled, _spec = gauss_spec
         # gauss's pivot-row flow dependence must keep 'a' out of the hints
         assert "a" not in independent_arrays(compiled)
+
+
+#: widehalo (n = m = 24, niter = 2) on 2 ranks: unit count, kind and tag
+#: multisets, recorded when codegen still wrote its event inline at each
+#: of the 23 anchors.  Inlining the one ``_ev_*`` function must give
+#: back exactly this plan.
+WIDEHALO_INLINE_PLAN = (
+    32,
+    {"admin": 2, "compute": 22, "recv": 4, "send": 4},
+    {"": 24, "main_ev0s": 8},
+)
+
+
+def _plan_shape(plan):
+    return (
+        len(plan.units),
+        dict(collections.Counter(u.kind for u in plan.units)),
+        dict(collections.Counter(u.tag for u in plan.units)),
+    )
+
+
+@pytest.fixture(scope="module")
+def widehalo_spec():
+    compiled = compile_program(widehalo())
+    return build_launch_spec(
+        compiled, {"n": 24, "m": 24, "niter": 2}, 2, RuntimeOptions()
+    )
+
+
+class TestEventInlining:
+    def test_inlined_plan_equals_the_inline_emission_plan(
+        self, widehalo_spec
+    ):
+        plan = build_task_plan(widehalo_spec.source, widehalo_spec.bindings)
+        assert plan.notes == []
+        assert _plan_shape(plan) == WIDEHALO_INLINE_PLAN
+
+    def test_every_site_shares_the_function_body(self, widehalo_spec):
+        """By reference, not by copy: the segment text cache is keyed by
+        statement identity, so a copy per site would unparse 23 times."""
+        tree = ast.parse(widehalo_spec.source)
+        fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        (event,) = [fns[name] for name in fns if name.startswith("_ev_")]
+        inlined = [
+            stmt
+            for top in lower._inline_events(fns["proc_main"].body, fns, "rt")
+            for stmt in ast.walk(top)
+            if isinstance(stmt, ast.stmt)
+        ]
+        first = event.body[0]
+        assert sum(stmt is first for stmt in inlined) == 23
+        assert not any(
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Call)
+            and getattr(stmt.value.func, "id", "").startswith("_ev_")
+            for stmt in inlined
+        )
+
+    def test_mismatched_event_call_degrades_with_a_note(
+        self, widehalo_spec
+    ):
+        source = widehalo_spec.source
+        call = re.search(r"_ev_main_ev0\(rt, (\w+), (\w+)", source)
+        first, second = call.group(1), call.group(2)
+        broken = source.replace(
+            call.group(0), f"_ev_main_ev0(rt, {second}, {first}", 1
+        )
+        plan = build_task_plan(broken, widehalo_spec.bindings)
+        assert len(plan.units) == widehalo_spec.nprocs
+        assert len(plan.notes) == 1
+        assert plan.notes[0].startswith("cannot inline _ev_main_ev0")
+
+    def test_a_broken_inliner_changes_the_plan(
+        self, widehalo_spec, monkeypatch
+    ):
+        """Without inlining, each event call is one opaque unit: the
+        shape test above would fail."""
+        monkeypatch.setattr(
+            lower, "_inline_events", lambda stmts, fns, rt_name: stmts
+        )
+        plan = build_task_plan(widehalo_spec.source, widehalo_spec.bindings)
+        assert _plan_shape(plan) != WIDEHALO_INLINE_PLAN
+        assert "call" in {u.kind for u in plan.units}
 
 
 # ---------------------------------------------------------------------------
