@@ -106,24 +106,33 @@ def programs():
 #: receives the same elements, in fewer disjoint pieces.  Re-pinned when
 #: codegen began writing each event once, as an ``_ev_<tag>`` function
 #: called at every anchor: same messages, a fraction of the bytes.
+#: Re-pinned when each event side became one box row per scan-set
+#: conjunct, overlaps removed at run time (DESIGN §11); per pin below, the
+#: one thing that moved in that program.
 BENCHMARK_SHAS = {
+    # four halo strips: 18 guarded split pieces → 4 rows + one call
     "jacobi": (
-        "4d68453f1c0727507891e4035a4603fed8b3fe8e162ef8f914a9f756499867e0"
+        "0daed057f2ef97fff0abcd3f4ea846f50454544e482e552bd7d6955a860f4063"
     ),
+    # x and y halo events: split pieces → rows per side
     "tomcatv": (
-        "20ad5e7605a69b54da3325b1d3a48ec659bd3c3e8671812261e82488faf37d84"
+        "e307784da8641004b666804e7d75ec267be62f3106a831bfd36941dda8cb4eee"
     ),
+    # single-row sides: FM guard → own guard, k pinned into plane bounds
     "erlebacher": (
-        "9e8ae9b91affaaaac022139cedaa028a56a89c43115c4a7f1a4a759f39922caf"
+        "213865bff293666054285a72bdba464fefb109fec340ff7f13bb8ad736a9fc5e"
     ),
+    # single-row pivot side: FM guard → own guard, k pinned into bounds
     "gauss": (
-        "60bca4dbeb7479b8515d988d0b83bae8fc7ea04ac1a856f7368e5016042a0015"
+        "978129159a75b3c43bb8a5bbcdfaddeae0656bd7221b00c6f58459f548c13422"
     ),
+    # strided red/black strips: split pieces → stride-2 rows
     "redblack": (
-        "d08b3722d495e7c0f240b5b6fa2ce6fb7b62c0ab13814eb80179a4e89cdf1232"
+        "396822d230d5ebfec2d40603d7574c863df9b02285d57e36528df911255d1027"
     ),
+    # every routine's halo events: split pieces → rows per side
     "sp_like": (
-        "b730dae2feb8a422c3dabfada6f03eaaf979fa99c4eb757c7ca6b7a46e304ebf"
+        "52070e2f144aa60ade8a1bfbbd892e22426071f289e0f3eac19dbf8eecccefd6"
     ),
 }
 
@@ -332,14 +341,20 @@ def check_pooled_service(cache_dir: str) -> None:
 
     A pooled cold compile runs in a forked worker process and travels
     back over a pipe as a pickle — this asserts that detour changes not
-    one byte: the jacobi benchmark artifact must still match its
-    ``BENCHMARK_SHAS`` pin, and a graceful drain must leak no children.
+    one byte: the pooled jacobi artifact must equal an in-process
+    compile (else the pool is at fault) and that compile must match its
+    ``BENCHMARK_SHAS`` pin (else the pin is stale), and a graceful drain
+    must leak no children.
     """
     import multiprocessing
     import threading
 
     from repro.service import ServiceClient, create_server
 
+    reset_caches()
+    local_sha = hashlib.sha256(
+        compile_program(jacobi()).source.encode()
+    ).hexdigest()
     reset_caches()
     server = create_server(port=0, cache_dir=cache_dir, workers=2)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -359,12 +374,19 @@ def check_pooled_service(cache_dir: str) -> None:
                     f"pooled service: expected a cold compile, got "
                     f"{cold['cache']!r}"
                 )
-            if cold["artifact_sha256"] != BENCHMARK_SHAS["jacobi"]:
+            if cold["artifact_sha256"] != local_sha:
                 raise AssertionError(
                     "pooled service: jacobi artifact sha "
-                    f"{cold['artifact_sha256'][:12]}… != pinned "
-                    f"{BENCHMARK_SHAS['jacobi'][:12]}… — the pool "
-                    "round-trip changed the emitted bytes"
+                    f"{cold['artifact_sha256'][:12]}… != in-process "
+                    f"{local_sha[:12]}… — the pool round-trip changed "
+                    "the emitted bytes"
+                )
+            if local_sha != BENCHMARK_SHAS["jacobi"]:
+                raise AssertionError(
+                    f"pooled service: jacobi compiles to {local_sha[:12]}… "
+                    "in-process and through the pool alike, but the pin "
+                    f"is {BENCHMARK_SHAS['jacobi'][:12]}… — a stale pin, "
+                    "not a pool fault"
                 )
             warm = client.compile(jacobi())
             if warm["cache"] != "hot":

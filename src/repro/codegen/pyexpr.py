@@ -1,7 +1,8 @@
 """Emission of set-framework objects as Python source expressions.
 
 The generated node program runs with a tiny prelude (``_cdiv``, ``_fdiv``,
-``_align``) injected by the emitter; loop bounds with divisors become calls
+``_align``, and the run-time overlap removal ``disjoint_sections``)
+injected by the emitter; loop bounds with divisors become calls
 to those helpers, stride loops become aligned ``range`` calls, and guard
 constraints become boolean expressions.  Conjuncts whose wildcards are not
 in stride form fall back to an exact membership closure registered with the
@@ -23,6 +24,8 @@ from ..isets.errors import CodegenError
 from ..isets.ops import _pivot_wildcard
 
 PRELUDE = '''\
+from repro.runtime.sections import disjoint_sections
+
 def _fdiv(a, b):
     """floor(a/b) for positive divisor b."""
     return a // b

@@ -25,7 +25,7 @@ import itertools
 import keyword
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isets import (
     Conjunct,
@@ -41,8 +41,12 @@ from ..isets.loopgen import (
     GuardNode,
     LoopNode,
     StmtNode,
+    _dedup_bounds,
+    _dedup_constraints,
+    _detect_strides,
     generate_loops,
 )
+from ..isets.omega import solve_equalities
 from ..hpf.layout import (
     DataMapping,
     DimOwnership,
@@ -57,6 +61,7 @@ from .pyexpr import (
     PRELUDE,
     SourceWriter,
     emit_conjunct_guard,
+    emit_constraint,
     emit_linexpr,
     emit_lower,
     emit_set_guard,
@@ -108,6 +113,11 @@ class CompiledModule:
     kernel_report: List[Tuple[int, str, str, str]] = field(
         default_factory=list
     )
+    #: per emitted event side ``(tag, "send" | "recv")``: how many scan-set
+    #: conjuncts became box rows and how many point lists (not a box).
+    scan_shapes: Dict[Tuple[str, str], Tuple[int, int]] = field(
+        default_factory=dict
+    )
 
 
 def _weight(expr: L.Expr) -> int:
@@ -150,6 +160,7 @@ class SpmdEmitter:
         self._work_counter = itertools.count()
         self._kernel_counter = itertools.count()
         self.kernel_report: List[Tuple[int, str, str, str]] = []
+        self.scan_shapes: Dict[Tuple[str, str], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ module
 
@@ -176,6 +187,7 @@ class SpmdEmitter:
                 for name, (result, layout) in self.runtime_inplace.items()
             ],
             self.kernel_report,
+            self.scan_shapes,
         )
 
     # --------------------------------------------------------------- procedures
@@ -321,12 +333,12 @@ class _BodyEmitter:
         share."""
         event, split = split_plan
         self.w.line(f"# --- loop splitting ({event.tag}) ---")
-        self._emit_send_side(event)
+        self._emit_comm_side(event, "send")
         self._section_restrict = split.local_iters
         self._section_name = "local"
         self._section_split = split
         self._emit_do(do, loop_path)
-        self._emit_recv_side(event)
+        self._emit_comm_side(event, "recv")
         self._section_restrict = split.nl_ro_iters
         self._section_name = "nl_ro"
         self._emit_do(do, loop_path)
@@ -991,8 +1003,8 @@ class _BodyEmitter:
             self.w.push()
             self.w.line(f"# --- communication event {event.tag} "
                         f"({event.placed.event.array}) ---")
-            self._emit_send_side(event)
-            self._emit_recv_side(event)
+            self._emit_comm_side(event, "send")
+            self._emit_comm_side(event, "recv")
             body, self.w = self.w, outer
             if len(body.lines) == 1:
                 body.line("pass")  # both sides empty
@@ -1004,33 +1016,6 @@ class _BodyEmitter:
             self.event_defs.line()
             call = self._event_calls[key] = f"{name}({args})"
         self.w.line(call)
-
-    # The send side: pack per partner, then send (Figure 6 structure).
-    def _emit_send_side(self, event: AnalyzedEvent):
-        layout = event.placed.event.layout
-        comm_map = event.sets.send_comm_map
-        tag = f"{event.tag}s"
-        inplace = self._inplace_flag(event, "send")
-        self._emit_comm_side(
-            layout, comm_map, event.sets.send_scan_map, tag, sending=True,
-            active=event.active_vp.active_send_vp
-            if event.active_vp is not None else None,
-            inplace_flag=inplace,
-            enabled=not comm_map.is_empty(),
-        )
-
-    def _emit_recv_side(self, event: AnalyzedEvent):
-        layout = event.placed.event.layout
-        comm_map = event.sets.recv_comm_map
-        tag = f"{event.tag}s"  # must match the sender's tag
-        inplace = self._inplace_flag(event, "recv")
-        self._emit_comm_side(
-            layout, comm_map, event.sets.recv_scan_map, tag, sending=False,
-            active=event.active_vp.active_recv_vp
-            if event.active_vp is not None else None,
-            inplace_flag=inplace,
-            enabled=not comm_map.is_empty(),
-        )
 
     def _inplace_flag(self, event: AnalyzedEvent, side: str) -> str:
         if not self.options.inplace:
@@ -1052,30 +1037,29 @@ class _BodyEmitter:
         )
         return f"rt.inplace[{name!r}]"
 
-    def _emit_comm_side(
-        self,
-        layout: Layout,
-        comm_map: IntegerMap,
-        scan_map: IntegerMap,
-        tag: str,
-        sending: bool,
-        active: Optional[IntegerSet],
-        inplace_flag: str,
-        enabled: bool,
-    ):
-        if not enabled:
+    def _emit_comm_side(self, event: AnalyzedEvent, side: str):
+        """Figure 6: per partner, pack then send (``side == "send"``), or
+        count then receive (``"recv"``), under physical-partner and VP
+        loops."""
+        inplace_flag = self._inplace_flag(event, side)
+        comm_map = getattr(event.sets, f"{side}_comm_map")
+        if comm_map.is_empty():
             return
+        layout = event.placed.event.layout
+        sending = side == "send"
+        tag = f"{event.tag}s"  # one message tag for both sides
         grid = layout.grid
         my_vp_dims = [
             o for o in layout.ownerships
             if o is not None and o.needs_vp_loops
         ]
-        verb = "send" if sending else "recv"
-        bufs = f"_bufs_{tag}_{verb}"
+        bufs = f"_bufs_{tag}_{side}"
         self.w.line(f"{bufs} = {{}}")
         # My-side VP loops (cyclic dims): restrict to active VPs of myid.
         if my_vp_dims:
-            use = active if self.options.active_vp else None
+            use = None
+            if self.options.active_vp and event.active_vp is not None:
+                use = getattr(event.active_vp, f"active_{side}_vp")
             self._open_vp_loops(my_vp_dims, use)
         # Physical partner loops, one per grid dim.
         partner_vars = []
@@ -1087,11 +1071,7 @@ class _BodyEmitter:
             self.w.push()
         rank_expr = self._linearize(grid, partner_vars)
         self.w.line(f"_qrank = {rank_expr}")
-        self.w.line("if _qrank == rt.rank:")
-        self.w.push()
-        self.w.line("pass")
-        self.w.pop()
-        self.w.line("else:")
+        self.w.line("if _qrank != rt.rank:")
         self.w.push()
 
         # Bind partner (virtual) processor coordinates p_* per grid dim.
@@ -1135,22 +1115,19 @@ class _BodyEmitter:
                 self.w.push()
                 closes += 1
 
-        # Data loops from the self-inclusive scan map: under the rank
-        # guard above it equals the exact map at every partner emitted.
+        # Rows from the self-inclusive scan map: under the rank guard
+        # above it equals the exact map at every partner emitted.
+        scan_map = getattr(event.sets, f"{side}_scan_map")
         data_set = IntegerSet(
             Space(scan_map.out_dims), scan_map.conjuncts
         ).simplify(full=True)
-        payload = "PACK" if sending else "COUNT"
-        fragments = generate_loops(data_set, payload)
-        array = layout.array
-        data_dims = scan_map.out_dims
-
-        self._emit_section_fragments(
-            fragments, rename, bufs, sending, array, data_dims
+        self.emitter.scan_shapes[(event.tag, side)] = self._emit_rows(
+            data_set, rename, bufs, sending
         )
+        array = layout.array
         for _ in range(closes):
             self.w.pop()
-        self.w.pop()  # else:
+        self.w.pop()  # rank guard
         for _ in range(grid.rank):
             self.w.pop()
         if my_vp_dims:
@@ -1177,105 +1154,105 @@ class _BodyEmitter:
             self.w.pop()
             self.w.pop()
 
-    def _emit_section_fragments(
-        self, fragments, rename, bufs, sending, array, data_dims
-    ):
-        """Descriptor data plane: lower each qualifying fragment to a
-        strided section (``("S", ...)``) computed with O(dims) arithmetic;
-        fragments whose nests are not rectangular strided spans fall back
-        to per-element loops accumulating an exact fancy-index section
-        (``("F", ...)``).  Receivers only need element *counts* (the
-        sender's descriptors travel with the message), so a qualifying
-        fragment contributes a closed-form count product."""
-        fancy: List = []
-        plans = []
-        for node in fragments:
-            plan = _section_plan(node, data_dims)
-            if plan is None:
-                fancy.append(node)
+    def _emit_rows(self, data_set, rename, bufs, sending):
+        """Descriptor data plane: one row per box conjunct of the scan
+        set, one exact point-list nest per other conjunct.
+
+        A lone box row is written inline as one strided ``("S", ...)``
+        section (or its closed-form count on the receive side).  Anything
+        else collects ``_rows`` / ``_pts`` and lets
+        :func:`~repro.runtime.sections.disjoint_sections` remove the
+        overlaps in ground integers.  Returns ``(rows, point lists)``."""
+        dims = data_set.space.in_dims
+        rows, nests = [], []
+        for conjunct in data_set.conjuncts:
+            solved = conjunct
+            if conjunct.wildcards:  # into stride form
+                solved = solve_equalities(
+                    conjunct, set(conjunct.free_variables())
+                )
+                if solved is None:
+                    continue
+            row = _box_row(solved, dims)
+            if row is None:
+                nests.append(generate_loops(
+                    IntegerSet(data_set.space, [conjunct]), None,
+                    disjoint=True,
+                ))
             else:
-                plans.append(plan)
-        if fancy:
-            self.w.line("_fidx = []")
-        for guards, loops in plans:
-            opened = 0
-            for guard in guards:
-                self._emit_guard_open(guard, rename)
-                opened += 1
-            for k, loop in enumerate(loops):
-                lower = emit_lower(loop.lowers, rename)
-                upper = emit_upper(loop.uppers, rename)
-                if loop.stride > 1:
-                    base = emit_linexpr(loop.align_base, rename)
-                    self.w.line(
-                        f"_sl{k} = _align({lower}, {base}, {loop.stride})"
-                    )
-                else:
-                    self.w.line(f"_sl{k} = {lower}")
-                self.w.line(f"_su{k} = {upper}")
-            nonempty = " and ".join(
-                f"_sl{k} <= _su{k}" for k in range(len(loops))
-            )
-            self.w.line(f"if {nonempty}:")
-            self.w.push()
+                rows.append((
+                    _guard_terms(row[0], rename), _span_texts(row[1], rename)
+                ))
+        shared = [
+            term for term in (rows[0][0] if rows else [])
+            if all(term in guard for guard, _spans in rows)
+        ]
+        if len(rows) == 1 and not nests:
+            opened = self._open_if(shared)
+            spans = rows[0][1]
+            for k, (lo, hi, _step) in enumerate(spans):
+                self.w.line(f"_sl{k} = {lo}")
+                self.w.line(f"_su{k} = {hi}")
+            self._open_if([f"_sl{k} <= _su{k}" for k in range(len(dims))])
             counts = [
-                f"(_su{k} - _sl{k}) // {loop.stride} + 1"
-                for k, loop in enumerate(loops)
+                f"(_su{k} - _sl{k}) // {step} + 1"
+                for k, (_lo, _hi, step) in enumerate(spans)
             ]
             if sending:
-                triples = ", ".join(
-                    f"(_sl{k}, {count}, {loop.stride})"
-                    for k, (count, loop) in enumerate(zip(counts, loops))
-                )
-                trailing = "," if len(loops) == 1 else ""
+                triples = [
+                    f"(_sl{k}, {count}, {step})"
+                    for k, (count, (_lo, _hi, step)) in enumerate(
+                        zip(counts, spans)
+                    )
+                ]
                 self.w.line(
                     f"{bufs}.setdefault(_qrank, [])"
-                    f".append(('S', ({triples}{trailing})))"
+                    f".append(('S', ({_tuple_text(triples)})))"
                 )
             else:
                 product = " * ".join(f"({c})" for c in counts)
                 self.w.line(
                     f"{bufs}[_qrank] = {bufs}.get(_qrank, 0) + {product}"
                 )
+            self.w.depth -= opened + 1
+            return 1, 0
+        if not (rows or nests):
+            return 0, 0
+        self.w.line("_rows = []")
+        opened = self._open_if(shared)
+        for guard, spans in rows:
+            own = self._open_if([t for t in guard if t not in shared])
+            triples = [f"({lo}, {hi}, {step})" for lo, hi, step in spans]
+            self.w.line(f"_rows.append(({_tuple_text(triples)}))")
+            self.w.depth -= own
+        self.w.depth -= opened
+        args = "_rows"
+        if nests:
+            args += ", _pts"
+            self.w.line("_pts = []")
+            leaf = f"_pts.append(({_tuple_text(list(dims))}))"
+            for node in itertools.chain(*nests):
+                self._emit_loop_node(node, rename, leaf)
+        if sending:
+            self.w.line(f"_secs = disjoint_sections({args})")
+            self._open_if(["_secs"])
+            self.w.line(f"{bufs}.setdefault(_qrank, []).extend(_secs)")
             self.w.pop()
-            for _ in range(opened):
-                self.w.pop()
+        else:
+            self.w.line(
+                f"{bufs}[_qrank] = {bufs}.get(_qrank, 0) + "
+                f"disjoint_sections({args}, count=True)"
+            )
+        return len(rows), len(nests)
 
-        if fancy:
-            index_tuple = ", ".join(data_dims) + ","
-
-            def emit_leaf(payload_kind: str):
-                if sending:
-                    self.w.line(f"_fidx.append(({index_tuple}))")
-                else:
-                    self.w.line(
-                        f"{bufs}[_qrank] = {bufs}.get(_qrank, 0) + 1"
-                    )
-
-            self._emit_loop_fragments(fancy, rename, emit_leaf)
-            if sending:
-                self.w.line("if _fidx:")
-                self.w.push()
-                self.w.line(
-                    f"{bufs}.setdefault(_qrank, [])"
-                    f".append(('F', tuple(zip(*_fidx))))"
-                )
-                self.w.pop()
-
-    def _emit_guard_open(self, node: GuardNode, rename) -> None:
-        """Open one guard ``if`` (caller pops the indent)."""
-        terms = [
-            f"({emit_linexpr(c.expr, rename)} "
-            f"{'==' if c.is_equality else '>='} 0)"
-            for c in node.constraints
-        ]
-        terms += [
-            f"({emit_linexpr(expr, rename)}) % {modulus} == 0"
-            for expr, modulus in node.mods
-        ]
-        conds = " and ".join(terms) or "True"
-        self.w.line(f"if {conds}:")
+    def _open_if(self, terms: List[str]) -> int:
+        """Open ``if`` over ``terms`` unless there are none; returns the
+        indents opened (the caller pops them)."""
+        if not terms:
+            return 0
+        self.w.line(f"if {' and '.join(terms)}:")
         self.w.push()
+        return 1
 
     def _block_text(self, ownership: DimOwnership) -> str:
         if isinstance(ownership.block_size, int):
@@ -1290,24 +1267,18 @@ class _BodyEmitter:
             text = f"({text}) * {extent} + {vars[dim]}"
         return text
 
-    def _emit_loop_fragments(
-        self,
-        fragments: List,
-        rename: Mapping[str, str],
-        emit_leaf: Callable[[str], None],
-    ):
-        for node in fragments:
-            self._emit_loop_node(node, rename, emit_leaf)
-
-    def _emit_loop_node(self, node, rename, emit_leaf):
+    def _emit_loop_node(self, node, rename, leaf: str):
+        """A ``generate_loops`` node, with ``leaf`` as the statement."""
         if isinstance(node, StmtNode):
-            emit_leaf(node.payload)
+            self.w.line(leaf)
             return
         if isinstance(node, GuardNode):
-            self._emit_guard_open(node, rename)
+            opened = self._open_if(
+                _guard_terms(node.constraints + node.mods, rename)
+            )
             for child in node.body:
-                self._emit_loop_node(child, rename, emit_leaf)
-            self.w.pop()
+                self._emit_loop_node(child, rename, leaf)
+            self.w.depth -= opened
             return
         if isinstance(node, LoopNode):
             lower = emit_lower(node.lowers, rename)
@@ -1324,7 +1295,7 @@ class _BodyEmitter:
                 )
             self.w.push()
             for child in node.body:
-                self._emit_loop_node(child, rename, emit_leaf)
+                self._emit_loop_node(child, rename, leaf)
             self.w.pop()
             return
         raise CodegenError(f"unknown loop node {node!r}")
@@ -1360,59 +1331,94 @@ def _free_names(body: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Section-descriptor qualification
+# Box rows
 # ---------------------------------------------------------------------------
 
-def _section_plan(node, data_dims: Sequence[str]):
-    """Decide whether one ``generate_loops`` fragment is a rectangular
-    strided span over ``data_dims``.
+def _box_row(conjunct: Conjunct, data_dims: Sequence[str]):
+    """The row ``(guard, spans)`` of one scan-set conjunct in stride form:
+    per data dim a span ``(lowers, uppers, stride, base)``, under the
+    dimension-free constraints and ``(expr, modulus)`` divisibility tests
+    of ``guard``.  ``None`` when the conjunct is not a box: a constraint
+    or stride base couples two data dims, a dim has a second stride, or
+    a dim is unbounded.
 
-    Qualifies when the fragment is (optional data-dim-free GuardNodes)
-    wrapping exactly ``len(data_dims)`` LoopNodes in dimension order —
-    each with a single child, bounds/align-base free of *other* data
-    dims — ending in a StmtNode.  Returns ``(guards, loops)`` or ``None``
-    (→ exact fancy-index fallback): triangular conjuncts (inner bounds
-    referencing outer data dims), interior guards from secondary stride
-    equalities, and disjunctive guards all disqualify.
-    """
-    dims_set = set(data_dims)
-
-    def _mentions_data_dim(expr: LinExpr) -> bool:
-        return any(var in dims_set for var, _coeff in expr.terms())
-
-    guards: List[GuardNode] = []
-    while isinstance(node, GuardNode):
-        if node.alternatives:
-            return None
-        if any(c.coeff(d) for c in node.constraints for d in data_dims):
-            return None
-        if any(_mentions_data_dim(expr) for expr, _m in node.mods):
-            return None
-        if len(node.body) != 1:
-            return None
-        guards.append(node)
-        node = node.body[0]
-
-    loops: List[LoopNode] = []
-    for k, dim in enumerate(data_dims):
-        if not isinstance(node, LoopNode) or node.var != dim:
-            return None
-        inner_dims = dims_set - {d for d in data_dims[:k]} - {dim}
-        outer_dims = set(data_dims[:k])
-        referenced = set()
-        for bound in list(node.lowers) + list(node.uppers):
-            referenced.update(v for v, _c in bound.expr.terms())
-        if node.align_base is not None:
-            referenced.update(v for v, _c in node.align_base.terms())
-        if referenced & (outer_dims | inner_dims):
-            return None
-        if len(node.body) != 1:
-            return None
-        loops.append(node)
-        node = node.body[0]
-    if not isinstance(node, StmtNode):
+    No Fourier–Motzkin projection: on a box, ``lo <= hi`` per dim
+    implies the level-0 system, so the guard is the conjunct's own
+    constraints that mention no data dim."""
+    try:
+        constraints, strides, mods = _detect_strides(conjunct, data_dims)
+    except CodegenError:
         return None
-    return guards, loops
+    dims = set(data_dims)
+    if any(level for _expr, _modulus, level in mods):
+        return None
+    if any(dims & set(s.base.variables()) for s in strides.values()):
+        return None
+    guard: List = []
+    bounds: Dict[str, List[Constraint]] = {dim: [] for dim in data_dims}
+    for constraint in constraints:
+        mentioned = [dim for dim in data_dims if constraint.coeff(dim)]
+        if len(mentioned) > 1:
+            return None
+        (bounds[mentioned[0]] if mentioned else guard).append(constraint)
+    # A symbol an equality pins to one data dim (``d_2 + 1 = k``) turns
+    # the guard terms on it into bounds of that dim: same set, shorter
+    # guard.
+    pins = {
+        var: (dim, c.expr.substitute(var, 0).scaled(-coeff))
+        for dim in data_dims for c in bounds[dim]
+        if c.is_equality and abs(c.coeff(dim)) == 1
+        for var, coeff in c.expr.terms()
+        if var != dim and abs(coeff) == 1
+    }
+    for constraint in list(guard):
+        var = next((v for v in constraint.variables() if v in pins), None)
+        if var is not None:
+            dim, value = pins[var]
+            moved = constraint.substitute(var, value)
+            if not any(moved.coeff(d) for d in data_dims if d != dim):
+                guard.remove(constraint)
+                bounds[dim].append(moved)
+    spans = []
+    for dim in data_dims:
+        lowers, uppers, _rest = extract_bounds(bounds[dim], dim)
+        if not lowers or not uppers:
+            return None
+        stride = strides.get(dim)
+        spans.append((
+            _dedup_bounds(lowers), _dedup_bounds(uppers),
+            stride.modulus if stride else 1,
+            stride.base if stride else None,
+        ))
+    guard = _dedup_constraints(guard)
+    guard += [(expr, modulus) for expr, modulus, _level in mods]
+    return guard, spans
+
+
+def _guard_terms(terms, rename) -> List[str]:
+    """Source texts of guard terms: constraints and ``(expr, modulus)``
+    divisibility tests."""
+    return [
+        emit_constraint(t, rename) if isinstance(t, Constraint)
+        else f"{emit_linexpr(t[0], rename)} % {t[1]} == 0"
+        for t in terms
+    ]
+
+
+def _tuple_text(items: List[str]) -> str:
+    """Tuple-display contents: ``a, b`` or ``a,``."""
+    return ", ".join(items) + ("," if len(items) == 1 else "")
+
+
+def _span_texts(spans, rename) -> List[Tuple[str, str, int]]:
+    """Per dim ``(lo aligned to the stride, hi, stride)`` source texts."""
+    texts = []
+    for lowers, uppers, stride, base in spans:
+        lower = emit_lower(lowers, rename)
+        if stride > 1:
+            lower = f"_align({lower}, {emit_linexpr(base, rename)}, {stride})"
+        texts.append((lower, emit_upper(uppers, rename), stride))
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -1422,9 +1428,6 @@ def _section_plan(node, data_dims: Sequence[str]):
 def _var_bounds(conjunct: Conjunct, var: str, prefix_vars: List[str]):
     """Bounds and stride for a loop var; bounds may reference outer vars,
     parameters, and my-symbols (all in scope in generated code)."""
-    from ..isets.loopgen import _detect_strides
-    from ..isets.omega import solve_equalities
-
     solved = solve_equalities(
         conjunct, set(conjunct.free_variables())
     )
@@ -1464,27 +1467,21 @@ def _set_dim_bounds(subset: IntegerSet, dim: str):
 
 
 def _map_proc_bounds(comm_map: IntegerMap, pname: str):
-    """Bounds for a partner VP dim across the comm map's conjuncts."""
-    all_lowers, all_uppers = [], []
-    for conjunct in comm_map.conjuncts:
-        keep = {pname} | (
-            set(conjunct.free_variables())
-            - set(comm_map.out_dims) - set(comm_map.in_dims)
-        )
-        constraints = inequality_projection(conjunct, keep)
-        lowers, uppers, _ = extract_bounds(constraints, pname)
-        if not lowers or not uppers:
-            return None, None
-        all_lowers.extend(lowers)
-        all_uppers.extend(uppers)
-    if not all_lowers:
+    """Bounds for a partner VP dim of a one-conjunct comm map; a union
+    would need min/max across conjuncts, so it gets ``(None, None)``."""
+    if len(comm_map.conjuncts) != 1:
         return None, None
-    # Over-approximate: min of lowers / max of uppers would need runtime
-    # min/max across conjuncts; simply pass all bounds through (emit_lower
-    # takes max) only when there is a single conjunct.
-    if len(comm_map.conjuncts) == 1:
-        return all_lowers, all_uppers
-    return None, None
+    (conjunct,) = comm_map.conjuncts
+    keep = {pname} | (
+        set(conjunct.free_variables())
+        - set(comm_map.out_dims) - set(comm_map.in_dims)
+    )
+    lowers, uppers, _ = extract_bounds(
+        inequality_projection(conjunct, keep), pname
+    )
+    if not lowers or not uppers:
+        return None, None
+    return lowers, uppers
 
 
 def _eliminate_symbols(subset: IntegerSet, symbols: List[str]) -> IntegerSet:

@@ -78,7 +78,8 @@ class CompiledProgram:
 
         Mirrors the kind of per-event diagnostics dHPF prints: for every
         statement its CP, and for every communication event its placement,
-        references, send/receive maps, in-place verdicts, and (for cyclic
+        references, send/receive maps, how each emitted side scans its map
+        (box rows and point lists), in-place verdicts, and (for cyclic
         layouts) the active-VP sets.
         """
         lines = [f"program {self.program.name}"]
@@ -107,6 +108,10 @@ class CompiledProgram:
                 )
                 lines.append(f"      send = {event.sets.send_comm_map}")
                 lines.append(f"      recv = {event.sets.recv_comm_map}")
+                for side in ("send", "recv"):
+                    shape = self.module.scan_shapes.get((event.tag, side))
+                    if shape is not None:
+                        lines.append(f"      {side}: {_scan_shape(*shape)}")
                 if event.inplace_send is not None:
                     lines.append(
                         f"      in-place: send {event.inplace_send.answer.value}, "
@@ -122,6 +127,17 @@ class CompiledProgram:
                         f"{event.active_vp.active_recv_vp}"
                     )
         return "\n".join(lines)
+
+
+def _scan_shape(rows: int, point_lists: int) -> str:
+    """``4 rows`` / ``3 rows, 1 point list (conjunct not a box)``."""
+    text = f"{rows} row{'s' * (rows != 1)}"
+    if point_lists:
+        text += (
+            f", {point_lists} point list{'s' * (point_lists != 1)} "
+            f"(conjunct not a box)"
+        )
+    return text
 
 
 def compile_program(

@@ -1,13 +1,20 @@
 """Section descriptors: the vectorized communication data plane.
 
-The §3.3 contiguity analysis (:mod:`repro.core.inplace`) proves at compile
-time that communicated data is a union of contiguous/strided array
-sections.  Instead of shipping every message as per-element index/value
-lists packed by generated Python loops, the emitter lowers each
-communication-set conjunct to a compact *section descriptor* and the
-runtime moves the payload with numpy slice assignments — one vectorized
-copy (or none at all on the shared-memory backend) instead of one Python
-iteration per element.
+The emitter scans each communication event's self-inclusive scan set one
+conjunct at a time.  A conjunct that is a *box* — every constraint bounds
+one array dimension, per-dimension strides included — becomes one **row**:
+per dimension ``(lo, hi, step)`` with ``lo`` already aligned to the
+stride, under a guard made of the conjunct's own dimension-free
+constraints.  Any other conjunct is scanned by its own loop nest into an
+exact **point list**.  The rows of one side can overlap (their partner
+coordinates were symbols at compile time), so :func:`disjoint_sections`
+removes the overlaps at run time, in ground integers: boxes with equal
+strides subtract in closed form, and lattices of unequal stride that
+meet, as well as point lists, become exact points deduplicated against
+the boxes.  A side with a single box row writes its section inline.  The
+runtime then moves each payload with numpy slice assignments — one
+vectorized copy (or none at all on the shared-memory backend) instead of
+one Python iteration per element.
 
 Descriptor format — a message carries a list of sections, each one of:
 
@@ -17,9 +24,9 @@ Descriptor format — a message carries a list of sections, each one of:
   ``start, start+step, ..., start+(count-1)*step`` per dimension in
   C order.
 * ``("F", (indices_dim0, indices_dim1, ...))`` — exact fancy-index
-  fallback for conjuncts the emitter cannot express as a single strided
-  span (e.g. triangular sets whose inner bounds depend on outer data
-  dimensions).  Parallel per-dimension index sequences, also global.
+  section for points no strided span covers (conjuncts that are not
+  boxes, e.g. triangular sets, and lattices that meet a box of another
+  stride).  Parallel per-dimension index sequences, also global.
 
 Payloads are C-contiguous 1-D ``float64`` vectors holding the sections
 back to back, in descriptor order.  Because the descriptors travel with
@@ -30,6 +37,9 @@ order — the receiver scatters exactly what the sender described.
 from __future__ import annotations
 
 from typing import Sequence, Tuple
+
+import itertools
+import math
 
 import numpy as np
 
@@ -51,6 +61,107 @@ def section_count(section) -> int:
 def message_count(sections) -> int:
     """Total element count of a descriptor list."""
     return sum(section_count(section) for section in sections)
+
+
+def disjoint_sections(rows, points=(), count=False):
+    """The union of ``rows`` and ``points`` as pairwise-disjoint sections.
+
+    ``rows`` are boxes, one ``(lo, hi, step)`` triple per dimension with
+    ``lo`` on the lattice (a row with ``lo > hi`` in any dimension is
+    empty); ``points`` are index tuples.  Returns the slice sections plus
+    at most one fancy section, or with ``count`` only their element
+    count (what a receiver needs).
+    """
+    boxes: list = []
+    loose: list = []
+    for row in rows:
+        if any(lo > hi for lo, hi, _step in row):
+            continue
+        pieces = [
+            tuple((lo, lo + (hi - lo) // step * step, step)
+                  for lo, hi, step in row)
+        ]
+        for kept in boxes:
+            if all(a[2] == b[2] for a, b in zip(kept, pieces[0])):
+                pieces = [p for piece in pieces for p in _subtract(piece, kept)]
+            elif any(_meet(piece, kept) for piece in pieces):
+                loose += pieces
+                pieces = []
+            if not pieces:
+                break
+        boxes += pieces
+    extra = [
+        point for piece in loose
+        for point in _box_points(piece)
+    ] + list(points)
+    if extra:
+        extra = list(dict.fromkeys(
+            point for point in extra
+            if not any(_contains(box, point) for box in boxes)
+        ))
+    if count:
+        return len(extra) + sum(
+            math.prod((hi - lo) // step + 1 for lo, hi, step in box)
+            for box in boxes
+        )
+    sections = [
+        (SLICE, tuple((lo, (hi - lo) // step + 1, step)
+                      for lo, hi, step in box))
+        for box in boxes
+    ]
+    if extra:
+        sections.append((FANCY, tuple(zip(*extra))))
+    return sections
+
+
+def _subtract(box, other):
+    """``box`` minus ``other``, both on the same strides: at most two
+    slabs per dimension, cut in closed form."""
+    cut = []
+    for (lo, hi, step), (olo, ohi, _step) in zip(box, other):
+        if (lo - olo) % step:
+            return [box]  # other residue class: disjoint
+        clo, chi = max(lo, olo), min(hi, ohi)
+        if clo > chi:
+            return [box]
+        cut.append((clo, chi))
+    pieces = []
+    rest = list(box)
+    for k, ((lo, hi, step), (clo, chi)) in enumerate(zip(box, cut)):
+        if lo < clo:
+            pieces.append(tuple(rest[:k] + [(lo, clo - step, step)]
+                                + rest[k + 1:]))
+        if chi < hi:
+            pieces.append(tuple(rest[:k] + [(chi + step, hi, step)]
+                                + rest[k + 1:]))
+        rest[k] = (clo, chi, step)
+    return pieces
+
+
+def _meet(box, other) -> bool:
+    """Whether two boxes of unequal strides share a point."""
+    for (lo, hi, step), (olo, ohi, ostep) in zip(box, other):
+        first, last = max(lo, olo), min(hi, ohi)
+        period = step * ostep // math.gcd(step, ostep)
+        if not any(
+            (x - lo) % step == 0 and (x - olo) % ostep == 0
+            for x in range(first, min(last, first + period - 1) + 1)
+        ):
+            return False
+    return True
+
+
+def _contains(box, point) -> bool:
+    return all(
+        lo <= x <= hi and (x - lo) % step == 0
+        for (lo, hi, step), x in zip(box, point)
+    )
+
+
+def _box_points(box):
+    return itertools.product(
+        *(range(lo, hi + 1, step) for lo, hi, step in box)
+    )
 
 
 def _local_slices(dims, lbounds) -> Tuple[slice, ...]:

@@ -1,18 +1,30 @@
 """Unit tests for Python-source emission and generated-module structure."""
 
 import ast
+import itertools
 import re
 
 import pytest
 
 from repro import CompilerOptions, compile_program, programs
 from repro.codegen.pyexpr import (
+    PRELUDE,
     SourceWriter,
     emit_conjunct_guard,
     emit_linexpr,
     emit_set_guard,
 )
-from repro.isets import LinExpr, parse_set
+from repro.codegen.spmd import _BodyEmitter
+from repro.core.driver import _scan_shape
+from repro.isets import (
+    IntegerSet,
+    LinExpr,
+    Space,
+    enumerate_points,
+    loopgen,
+    ops,
+    parse_set,
+)
 
 STENCIL = """
 program s
@@ -156,7 +168,7 @@ def test_jacobi_scans_one_conjunct_per_reference():
     assert len(sets.recv_scan_map.conjuncts) == 4
     assert len(sets.send_comm_map.conjuncts) == 16
     assert len(compiled.source.encode()) < 50_000
-    assert compiled.source.count("_fidx.append") < 10
+    assert "_pts.append" not in compiled.source  # no point lists
 
 
 @pytest.mark.parametrize("name", programs.__all__)
@@ -215,3 +227,106 @@ def test_each_event_is_emitted_once(name):
                 bucket.add(node.id)
         params = [arg.arg for arg in fn.args.args]
         assert params == ["rt"] + sorted(loads - stores - {"rt"}), fn.name
+
+
+def _section_points(sections):
+    points = []
+    for kind, dims in sections:
+        if kind == "S":
+            points += itertools.product(
+                *(range(start, start + count * step, step)
+                  for start, count, step in dims)
+            )
+        else:
+            points += zip(*dims)
+    return points
+
+
+def _event_functions(source):
+    return re.findall(r"^def _ev_\w+\(.*?(?=^def )", source, re.S | re.M)
+
+
+def test_every_event_side_scans_box_rows(monkeypatch):
+    """On the spine programs every emitted side takes the row path, one
+    row per conjunct of its simplified scan set and no point list, and
+    ``_emit_event`` never enters ``split_disjoint``."""
+    inside, entered = [0], []
+
+    def counted(real):
+        def split_disjoint(subset):
+            if inside[0]:
+                entered.append(subset)
+            return real(subset)
+        return split_disjoint
+
+    real_emit = _BodyEmitter._emit_event
+
+    def emit_event(self, event):
+        inside[0] += 1
+        try:
+            return real_emit(self, event)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(_BodyEmitter, "_emit_event", emit_event)
+    monkeypatch.setattr(
+        loopgen, "split_disjoint", counted(loopgen.split_disjoint)
+    )
+    monkeypatch.setattr(ops, "split_disjoint", counted(ops.split_disjoint))
+    sides = rows = 0
+    for name in programs.__all__:
+        compiled = compile_program(_program_source(name))
+        for analysis in compiled.analyses.values():
+            for event in analysis.events:
+                for side in ("send", "recv"):
+                    shape = compiled.module.scan_shapes.get((event.tag, side))
+                    if shape is None:
+                        continue
+                    scan = getattr(event.sets, f"{side}_scan_map")
+                    scan_set = IntegerSet(
+                        Space(scan.out_dims), scan.conjuncts
+                    ).simplify(full=True)
+                    assert shape == (len(scan_set.conjuncts), 0), (
+                        name, event.tag, side
+                    )
+                    sides += 1
+                    rows += shape[0]
+        if name == "jacobi":
+            assert "      send: 4 rows" in compiled.listing()
+            (ev0,) = [
+                fn for fn in _event_functions(compiled.source)
+                if fn.startswith("def _ev_main_ev0(")
+            ]
+            assert len(ev0.encode()) <= 6_000
+        for fn in _event_functions(compiled.source):
+            for line in fn.splitlines():
+                if line.lstrip().startswith("if "):
+                    assert line.count(" and ") + 1 <= 8, (name, line)
+    assert (sides, rows) == (22, 46)
+    assert entered == []
+
+
+def test_non_box_conjunct_becomes_an_exact_point_list():
+    """A triangular conjunct overlapping a box: one row plus one point
+    list, and at ground values the side holds exactly the set's points."""
+    subset = parse_set(
+        "{[d0,d1] : 1 <= d0 <= n and d0 <= d1 <= n or "
+        "2 <= d0 <= m and 1 <= d1 <= 3}"
+    ).simplify(full=True)
+    env = {"n": 6, "m": 4}
+    expected = enumerate_points(subset, env)
+    for sending in (True, False):
+        body = _BodyEmitter.__new__(_BodyEmitter)
+        body.w = SourceWriter()
+        assert body._emit_rows(subset, {}, "_bufs", sending) == (1, 1)
+        namespace = {}
+        exec(PRELUDE, namespace)
+        namespace.update(env, _qrank=0, _bufs={})
+        exec(body.w.text(), namespace)
+        (got,) = namespace["_bufs"].values()
+        if sending:
+            points = _section_points(got)
+            assert sorted(points) == expected  # disjoint: no duplicates
+        else:
+            assert got == len(expected)
+    assert _scan_shape(1, 1) == "1 row, 1 point list (conjunct not a box)"

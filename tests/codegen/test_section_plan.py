@@ -1,91 +1,71 @@
-"""Qualification rules for lowering loop fragments to section descriptors.
+"""Qualification rules for lowering scan-set conjuncts to box rows.
 
-``_section_plan`` decides, per ``generate_loops`` fragment, whether the
-emitter may replace the per-element pack loop with a closed-form strided
-section — or must fall back to the exact fancy-index path.
+``_box_row`` decides, per conjunct in stride form, whether the emitter may
+write it as one row — per data dim ``(lo, hi, stride)`` under a guard of
+the conjunct's dimension-free constraints — or must scan it into an exact
+point list with its own loop nest.
 """
 
-from repro.codegen.spmd import _section_plan
-from repro.isets import Constraint, LinExpr
-from repro.isets.bounds import SymbolicBound
-from repro.isets.loopgen import GuardNode, LoopNode, StmtNode
+from repro.codegen.spmd import _box_row
+from repro.isets import Constraint, LinExpr, parse_set
+from repro.isets.omega import solve_equalities
 
 
-def lb(expr, divisor=1):
-    return SymbolicBound(expr, divisor, True)
+def row_of(text):
+    subset = parse_set(text)
+    (conjunct,) = subset.conjuncts
+    if conjunct.wildcards:  # into stride form, as the emitter does
+        conjunct = solve_equalities(
+            conjunct, set(conjunct.free_variables())
+        )
+    return _box_row(conjunct, subset.space.in_dims)
 
 
-def ub(expr, divisor=1):
-    return SymbolicBound(expr, divisor, False)
-
-
-def loop(var, lower, upper, body, stride=1, align_base=None):
-    return LoopNode(
-        var, [lb(lower)], [ub(upper)], stride, align_base, [body]
-    )
-
-
-N = LinExpr.var("n")
-ONE = LinExpr.const(1)
-LEAF = StmtNode("PACK")
+def bound_texts(bounds):
+    return sorted(str(b.expr) for b in bounds)
 
 
 class TestQualifies:
     def test_rectangular_nest(self):
-        node = loop("d0", ONE, N, loop("d1", ONE, N, LEAF))
-        plan = _section_plan(node, ("d0", "d1"))
-        assert plan is not None
-        guards, loops = plan
-        assert guards == [] and [n.var for n in loops] == ["d0", "d1"]
+        guard, spans = row_of("{[d0,d1] : 1 <= d0 <= n and 2 <= d1 <= m}")
+        assert guard == []
+        (lo0, hi0, s0, _b0), (lo1, hi1, s1, _b1) = spans
+        assert (bound_texts(lo0), bound_texts(hi0), s0) == (["1"], ["n"], 1)
+        assert (bound_texts(lo1), bound_texts(hi1), s1) == (["2"], ["m"], 1)
 
     def test_strided_loop(self):
-        node = loop(
-            "d0", ONE, N, LEAF, stride=4, align_base=LinExpr.var("p_0")
+        _guard, spans = row_of(
+            "{[d0] : exists(w : d0 = 4w + p) and 1 <= d0 <= n}"
         )
-        assert _section_plan(node, ("d0",)) is not None
+        ((_lo, _hi, stride, base),) = spans
+        assert stride == 4 and base == LinExpr.var("p")
 
     def test_data_dim_free_outer_guard(self):
-        guard = GuardNode(
-            constraints=[Constraint.geq(N, ONE)],
-            body=[loop("d0", ONE, N, LEAF)],
-        )
-        plan = _section_plan(guard, ("d0",))
-        assert plan is not None
-        guards, loops = plan
-        assert len(guards) == 1 and len(loops) == 1
+        guard, spans = row_of("{[d0] : n >= 3 and 1 <= d0 <= n}")
+        assert guard == [Constraint.geq(LinExpr.var("n"), LinExpr.const(3))]
+        assert len(spans) == 1
 
 
 class TestFallsBack:
     def test_triangular_inner_bound(self):
-        inner = loop("d1", LinExpr.var("d0"), N, LEAF)
-        node = loop("d0", ONE, N, inner)
-        assert _section_plan(node, ("d0", "d1")) is None
+        assert row_of("{[d0,d1] : 1 <= d0 <= n and d0 <= d1 <= n}") is None
 
     def test_guard_mentioning_data_dim(self):
-        guard = GuardNode(
-            constraints=[Constraint.geq(LinExpr.var("d0"), ONE)],
-            body=[loop("d0", ONE, N, LEAF)],
-        )
-        assert _section_plan(guard, ("d0",)) is None
+        # an equality coupling two data dims is neither a guard nor a bound
+        assert row_of("{[d0,d1] : 1 <= d0 <= n and d1 = d0}") is None
 
     def test_interior_guard(self):
-        inner = GuardNode(
-            constraints=[Constraint.geq(N, ONE)], body=[LEAF]
-        )
-        node = loop("d0", ONE, N, inner)
-        assert _section_plan(node, ("d0",)) is None
-
-    def test_wrong_dim_order(self):
-        node = loop("d1", ONE, N, loop("d0", ONE, N, LEAF))
-        assert _section_plan(node, ("d0", "d1")) is None
+        # a divisibility test on two dims would sit inside the nest
+        assert row_of(
+            "{[d0,d1] : 1 <= d0 <= n and 1 <= d1 <= n and "
+            "exists(a : d0 + 2d1 = 3a)}"
+        ) is None
 
     def test_missing_dim(self):
-        node = loop("d0", ONE, N, LEAF)
-        assert _section_plan(node, ("d0", "d1")) is None
+        assert row_of("{[d0,d1] : 1 <= d0 <= n}") is None
 
     def test_strided_align_base_on_outer_dim(self):
-        inner = loop(
-            "d1", ONE, N, LEAF, stride=2, align_base=LinExpr.var("d0")
-        )
-        node = loop("d0", ONE, N, inner)
-        assert _section_plan(node, ("d0", "d1")) is None
+        assert row_of(
+            "{[d0,d1] : 1 <= d0 <= n and exists(a : d1 = 2a + d0) "
+            "and 1 <= d1 <= n}"
+        ) is None

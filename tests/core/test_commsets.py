@@ -1,5 +1,7 @@
 """Unit tests for the Figure 3 communication-set equations."""
 
+import itertools
+
 import pytest
 
 from repro import compile_program
@@ -10,7 +12,7 @@ from repro.core.events import build_events
 from repro.hpf import DataMapping
 from repro.isets import count_points, enumerate_points, parse_set
 from repro.lang import parse_program
-from repro.programs import jacobi
+from repro.programs import erlebacher, jacobi, redblack, tomcatv, widehalo
 from repro.runtime.harness import evaluate_bindings, run_compiled
 from repro.runtime.trace import SendEvent
 
@@ -170,7 +172,9 @@ def _traced_message_elements(compiled, params, nprocs):
 
 
 def _exact_message_elements(compiled, params, nprocs, outer):
-    """(tag, me, q) -> points of the exact SendCommMap(me) at partner q."""
+    """(tag, me, q) -> points of the exact SendCommMap(me) at partner q,
+    summed over the event's outer-loop iterations (``outer`` maps each
+    outer symbol to its values)."""
     envs = [
         evaluate_bindings(compiled.mapping, params, nprocs, rank)
         for rank in range(nprocs)
@@ -180,18 +184,21 @@ def _exact_message_elements(compiled, params, nprocs, outer):
         for event in analysis.events:
             send = event.sets.send_comm_map
             my_names = event.placed.event.layout.grid.my_names
-            for me in range(nprocs):
-                for q in range(nprocs):
-                    partner = {
-                        p: envs[q][name]
-                        for p, name in zip(send.in_dims, my_names)
-                    }
-                    elements = count_points(
-                        send.fix_input(partner).range(),
-                        {**envs[me], **outer},
-                    )
-                    if elements:
-                        counts[(f"{event.tag}s", me, q)] = elements
+            symbols = event.placed.event.outer_symbols
+            for values in itertools.product(*(outer[s] for s in symbols)):
+                for me in range(nprocs):
+                    for q in range(nprocs):
+                        partner = {
+                            p: envs[q][name]
+                            for p, name in zip(send.in_dims, my_names)
+                        }
+                        elements = count_points(
+                            send.fix_input(partner).range(),
+                            {**envs[me], **dict(zip(symbols, values))},
+                        )
+                        if elements:
+                            key = (f"{event.tag}s", me, q)
+                            counts[key] = counts.get(key, 0) + elements
     return counts
 
 
@@ -200,13 +207,20 @@ def _exact_message_elements(compiled, params, nprocs, outer):
     [
         (SHIFT, {}, 4, {}),
         (TestCoalescedStencil.SRC, {}, 4, {}),
-        (jacobi(), {"n": 16, "niter": 1}, 4, {"iter_cur": 1}),
+        (jacobi(), {"n": 16, "niter": 1}, 4, {"iter_cur": [1]}),
+        (erlebacher(), {"n": 8, "nz": 16, "niter": 1}, 4,
+         {"iter_cur": [1], "k_cur": range(2, 17)}),
+        (tomcatv(), {"n": 24, "niter": 1}, 4, {"iter_cur": [1]}),
+        (redblack(), {"n": 48, "niter": 1}, 4, {"iter_cur": [1]}),
+        (widehalo(), {"n": 24, "m": 24, "niter": 1}, 2, {"iter_cur": [1]}),
     ],
-    ids=["shift", "stencil", "jacobi"],
+    ids=["shift", "stencil", "jacobi", "erlebacher", "tomcatv", "redblack",
+         "widehalo"],
 )
 def test_scanned_messages_match_exact_map(source, params, nprocs, outer):
-    """Codegen scans the self-inclusive map under a ``q != me`` guard; every
-    message it sends must hold exactly the points of the exact map."""
+    """Codegen scans the self-inclusive map under a ``q != me`` guard, one
+    row per conjunct with the overlaps removed at run time; every message
+    it sends must hold exactly the points of the exact map."""
     compiled = compile_program(source)
     traced = _traced_message_elements(compiled, params, nprocs)
     assert traced

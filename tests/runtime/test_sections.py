@@ -1,9 +1,13 @@
 """Unit tests for the section-descriptor data plane helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime.sections import (
+    disjoint_sections,
     message_count,
     own_payload,
     pack_sections,
@@ -155,3 +159,73 @@ class TestOwnPayload:
     def test_generator_accepted(self):
         payload, _ = own_payload(float(i) for i in range(3))
         np.testing.assert_array_equal(payload, [0.0, 1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Run-time overlap removal
+# ---------------------------------------------------------------------------
+
+
+def _points(sections):
+    points = []
+    for kind, dims in sections:
+        if kind == "S":
+            points += itertools.product(
+                *(range(start, start + count * step, step)
+                  for start, count, step in dims)
+            )
+        else:
+            points += zip(*dims)
+    return points
+
+
+@st.composite
+def _rows_and_points(draw):
+    ndim = draw(st.integers(1, 3))
+    span = st.tuples(
+        st.integers(-3, 8), st.integers(-2, 8), st.integers(1, 3)
+    ).map(lambda t: (t[0], t[0] + t[1], t[2]))  # may be empty
+    rows = draw(st.lists(st.tuples(*[span] * ndim), max_size=5))
+    coord = st.integers(-3, 12)
+    points = draw(st.lists(st.tuples(*[coord] * ndim), max_size=6))
+    return rows, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_points())
+def test_disjoint_sections_is_the_exact_disjoint_union(case):
+    rows, points = case
+    brute = set(points)
+    for row in rows:
+        brute.update(itertools.product(
+            *(range(lo, hi + 1, step) for lo, hi, step in row)
+        ))
+    sections = disjoint_sections(rows, points)
+    got = _points(sections)
+    assert set(got) == brute
+    assert len(got) == len(brute)  # pieces pairwise disjoint
+    assert sum(kind == "F" for kind, _dims in sections) <= 1
+    assert disjoint_sections(rows, points, count=True) == message_count(
+        sections
+    )
+
+
+class TestDisjointSections:
+    def test_equal_strides_subtract_in_closed_form(self):
+        sections = disjoint_sections(
+            [((1, 5, 1), (1, 5, 1)), ((3, 8, 1), (2, 3, 1))]
+        )
+        assert [kind for kind, _dims in sections] == ["S", "S"]
+        assert message_count(sections) == 31
+
+    def test_unequal_strides_that_meet_become_points(self):
+        sections = disjoint_sections([((1, 9, 2),), ((2, 9, 3),)])
+        assert sections == [("S", ((1, 5, 2),)), ("F", ((2, 8),))]
+
+    def test_unequal_strides_that_miss_stay_boxes(self):
+        sections = disjoint_sections([((1, 9, 2),), ((2, 8, 2),)])
+        assert [kind for kind, _dims in sections] == ["S", "S"]
+
+    def test_points_inside_a_box_are_dropped(self):
+        sections = disjoint_sections([((0, 4, 1),)], [(2,), (7,), (7,)])
+        assert sections == [("S", ((0, 5, 1),)), ("F", ((7,),))]
