@@ -107,32 +107,34 @@ def programs():
 #: codegen began writing each event once, as an ``_ev_<tag>`` function
 #: called at every anchor: same messages, a fraction of the bytes.
 #: Re-pinned when each event side became one box row per scan-set
-#: conjunct, overlaps removed at run time (DESIGN §11); per pin below, the
-#: one thing that moved in that program.
+#: conjunct, overlaps removed at run time (DESIGN §11).  Re-pinned when
+#: each physical partner began collecting the rows of every VP pair and
+#: taking their union once (DESIGN §11); per pin below, the one thing
+#: that moved in that program.
 BENCHMARK_SHAS = {
-    # four halo strips: 18 guarded split pieces → 4 rows + one call
+    # rows collected per partner; one union per partner
     "jacobi": (
-        "0daed057f2ef97fff0abcd3f4ea846f50454544e482e552bd7d6955a860f4063"
+        "bc0818fbb3f4a3d8ada9b51215f63f12a931dbb5a7f600c3b432269be33b6736"
     ),
-    # x and y halo events: split pieces → rows per side
+    # rows collected per partner; one union per partner
     "tomcatv": (
-        "e307784da8641004b666804e7d75ec267be62f3106a831bfd36941dda8cb4eee"
+        "e97a97a5434205decbff2c90cabf1b389f8f6e958828f39a478beaef16211b77"
     ),
-    # single-row sides: FM guard → own guard, k pinned into plane bounds
+    # rows collected per partner; one union per partner
     "erlebacher": (
-        "213865bff293666054285a72bdba464fefb109fec340ff7f13bb8ad736a9fc5e"
+        "7d26142c23744c35c27af7ed1951b10f14064729ce999a459ceae406671c7df5"
     ),
-    # single-row pivot side: FM guard → own guard, k pinned into bounds
+    # rows collected per partner; one union per partner
     "gauss": (
-        "978129159a75b3c43bb8a5bbcdfaddeae0656bd7221b00c6f58459f548c13422"
+        "f1c4c54a9bb66baf79c2abeee072dc8ec50054db902f2fa50cd7f8a9e4138171"
     ),
-    # strided red/black strips: split pieces → stride-2 rows
+    # rows collected per partner; one union per partner
     "redblack": (
-        "396822d230d5ebfec2d40603d7574c863df9b02285d57e36528df911255d1027"
+        "f0978f37fed13ee91638c6c2d2d0a807e951c4d8bbf901d85609baa6bd20de3f"
     ),
-    # every routine's halo events: split pieces → rows per side
+    # rows collected per partner; one union per partner
     "sp_like": (
-        "52070e2f144aa60ade8a1bfbbd892e22426071f289e0f3eac19dbf8eecccefd6"
+        "deecaf83dcd4a634b45a1ba5b748f5f7a0ee2c7ff3ffba09bb8da9b6259178dc"
     ),
 }
 

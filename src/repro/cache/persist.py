@@ -45,7 +45,7 @@ from .manager import caches
 
 #: Bump when the artifact layout changes incompatibly, and on every
 #: re-pin of the emitted node programs (DESIGN §11).
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _ARTIFACT_PREFIX = "cc-"
 _ARTIFACT_SUFFIX = ".pkl"

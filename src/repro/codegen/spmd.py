@@ -11,7 +11,8 @@ paper:
 * communication events emit pack / send / recv / unpack code driven by
   ``SendCommMap`` / ``RecvCommMap`` (§3.2), wrapped in physical-partner
   loops and virtual-processor loops per Figure 6 — once per procedure, as
-  a module-level ``_ev_<tag>`` function called at every anchor;
+  a module-level ``_ev_<tag>`` function called at every anchor — with one
+  message per physical partner holding the union over its VPs;
 * block-distributed VP dims need no VP loops (one active VP per processor,
   §4.1); cyclic dims get VP loops restricted to the active sets (Figure 5);
 * loop splitting emits the Figure 4(b) schedule;
@@ -1038,9 +1039,15 @@ class _BodyEmitter:
         return f"rt.inplace[{name!r}]"
 
     def _emit_comm_side(self, event: AnalyzedEvent, side: str):
-        """Figure 6: per partner, pack then send (``side == "send"``), or
-        count then receive (``"recv"``), under physical-partner and VP
-        loops."""
+        """Figure 6: per physical partner, pack then send (``side ==
+        "send"``), or count then receive (``"recv"``).
+
+        The my-VP, partner and partner-VP loops only collect rows: each
+        partner rank gets one ``(_r, _p)`` pair of rows and points, filled
+        across every VP pair the two ranks own.  One transfer loop then
+        takes the union once per partner with
+        :func:`~repro.runtime.sections.disjoint_sections`, so each element
+        crosses each rank pair once per event instance."""
         inplace_flag = self._inplace_flag(event, side)
         comm_map = getattr(event.sets, f"{side}_comm_map")
         if comm_map.is_empty():
@@ -1073,6 +1080,7 @@ class _BodyEmitter:
         self.w.line(f"_qrank = {rank_expr}")
         self.w.line("if _qrank != rt.rank:")
         self.w.push()
+        self.w.line(f"_r, _p = {bufs}.setdefault(_qrank, ([], []))")
 
         # Bind partner (virtual) processor coordinates p_* per grid dim.
         closes = 0
@@ -1122,7 +1130,7 @@ class _BodyEmitter:
             Space(scan_map.out_dims), scan_map.conjuncts
         ).simplify(full=True)
         self.emitter.scan_shapes[(event.tag, side)] = self._emit_rows(
-            data_set, rename, bufs, sending
+            data_set, rename
         )
         array = layout.array
         for _ in range(closes):
@@ -1133,36 +1141,33 @@ class _BodyEmitter:
         if my_vp_dims:
             self._close_vp_loops(my_vp_dims)
 
-        # Transfer phase.
+        # Transfer phase: one union per partner.
+        self.w.line(f"for _q, (_r, _p) in sorted({bufs}.items()):")
+        self.w.push()
         if sending:
-            self.w.line(f"for _q, _secs in {bufs}.items():")
+            self.w.line("_secs = disjoint_sections(_r, _p)")
+            self.w.line("if _secs:")
             self.w.push()
             self.w.line(
                 f"rt.send_section(_q, {tag!r}, {array!r}, _secs, "
                 f"inplace={inplace_flag})"
             )
-            self.w.pop()
         else:
-            self.w.line(f"for _q, _count in sorted({bufs}.items()):")
-            self.w.push()
-            self.w.line("if _count:")
+            self.w.line("_n = disjoint_sections(_r, _p, count=True)")
+            self.w.line("if _n:")
             self.w.push()
             self.w.line(
                 f"rt.recv_section(_q, {tag!r}, {array!r}, "
-                f"inplace={inplace_flag})"
+                f"inplace={inplace_flag}, count=_n)"
             )
-            self.w.pop()
-            self.w.pop()
+        self.w.pop()
+        self.w.pop()
 
-    def _emit_rows(self, data_set, rename, bufs, sending):
+    def _emit_rows(self, data_set, rename):
         """Descriptor data plane: one row per box conjunct of the scan
-        set, one exact point-list nest per other conjunct.
-
-        A lone box row is written inline as one strided ``("S", ...)``
-        section (or its closed-form count on the receive side).  Anything
-        else collects ``_rows`` / ``_pts`` and lets
-        :func:`~repro.runtime.sections.disjoint_sections` remove the
-        overlaps in ground integers.  Returns ``(rows, point lists)``."""
+        set, appended to the partner's ``_r``, and one exact point-list
+        nest per other conjunct, appended to its ``_p``; the transfer
+        loop removes the overlaps.  Returns ``(rows, point lists)``."""
         dims = data_set.space.in_dims
         rows, nests = [], []
         for conjunct in data_set.conjuncts:
@@ -1187,62 +1192,16 @@ class _BodyEmitter:
             term for term in (rows[0][0] if rows else [])
             if all(term in guard for guard, _spans in rows)
         ]
-        if len(rows) == 1 and not nests:
-            opened = self._open_if(shared)
-            spans = rows[0][1]
-            for k, (lo, hi, _step) in enumerate(spans):
-                self.w.line(f"_sl{k} = {lo}")
-                self.w.line(f"_su{k} = {hi}")
-            self._open_if([f"_sl{k} <= _su{k}" for k in range(len(dims))])
-            counts = [
-                f"(_su{k} - _sl{k}) // {step} + 1"
-                for k, (_lo, _hi, step) in enumerate(spans)
-            ]
-            if sending:
-                triples = [
-                    f"(_sl{k}, {count}, {step})"
-                    for k, (count, (_lo, _hi, step)) in enumerate(
-                        zip(counts, spans)
-                    )
-                ]
-                self.w.line(
-                    f"{bufs}.setdefault(_qrank, [])"
-                    f".append(('S', ({_tuple_text(triples)})))"
-                )
-            else:
-                product = " * ".join(f"({c})" for c in counts)
-                self.w.line(
-                    f"{bufs}[_qrank] = {bufs}.get(_qrank, 0) + {product}"
-                )
-            self.w.depth -= opened + 1
-            return 1, 0
-        if not (rows or nests):
-            return 0, 0
-        self.w.line("_rows = []")
         opened = self._open_if(shared)
         for guard, spans in rows:
             own = self._open_if([t for t in guard if t not in shared])
             triples = [f"({lo}, {hi}, {step})" for lo, hi, step in spans]
-            self.w.line(f"_rows.append(({_tuple_text(triples)}))")
+            self.w.line(f"_r.append(({_tuple_text(triples)}))")
             self.w.depth -= own
         self.w.depth -= opened
-        args = "_rows"
-        if nests:
-            args += ", _pts"
-            self.w.line("_pts = []")
-            leaf = f"_pts.append(({_tuple_text(list(dims))}))"
-            for node in itertools.chain(*nests):
-                self._emit_loop_node(node, rename, leaf)
-        if sending:
-            self.w.line(f"_secs = disjoint_sections({args})")
-            self._open_if(["_secs"])
-            self.w.line(f"{bufs}.setdefault(_qrank, []).extend(_secs)")
-            self.w.pop()
-        else:
-            self.w.line(
-                f"{bufs}[_qrank] = {bufs}.get(_qrank, 0) + "
-                f"disjoint_sections({args}, count=True)"
-            )
+        leaf = f"_p.append(({_tuple_text(list(dims))}))"
+        for node in itertools.chain(*nests):
+            self._emit_loop_node(node, rename, leaf)
         return len(rows), len(nests)
 
     def _open_if(self, terms: List[str]) -> int:
@@ -1308,8 +1267,8 @@ class _BodyEmitter:
 #: what an event body's text holds besides code: ``'name'`` literals
 #: (codegen writes no other strings) and the header comment.
 _LITERAL = re.compile(r"'[^'\n]*'|#[^\n]*")
-#: names a statement binds: ``for a, b in`` targets and ``x = `` targets.
-_BOUND = re.compile(r"^ *(?:for ([\w, ]+) in |(\w+) = )", re.MULTILINE)
+#: names a statement binds: ``for a, (b, c) in`` and ``x, y = `` targets.
+_BOUND = re.compile(r"^ *(?:for ([\w, ()]+) in |([\w, ]+) = )", re.MULTILINE)
 #: identifiers read as values: not an attribute (``.x``), a callee
 #: (``x(``) or a keyword argument (``x=``).
 _VALUE = re.compile(r"(?<![.\w])[A-Za-z_]\w*(?![\w(]|=(?!=))")
@@ -1322,9 +1281,9 @@ def _free_names(body: str) -> List[str]:
     than parsing it; tests check it against the parsed body."""
     text = _LITERAL.sub("", body)
     bound = {
-        name.strip()
-        for targets, target in _BOUND.findall(text)
-        for name in (targets.split(",") if targets else [target])
+        name
+        for targets in _BOUND.findall(text)
+        for name in re.findall(r"\w+", "".join(targets))
     }
     read = set(_VALUE.findall(text)) - _KEYWORDS
     return sorted(read - bound - {"rt"})

@@ -406,7 +406,7 @@ class MPNodeRuntime(NodeRuntimeBase):
             self.trace.data_copied(nbytes)
         self._clocked(start)
 
-    def recv_section(self, src, tag, name, inplace=False) -> None:
+    def recv_section(self, src, tag, name, inplace=False, count=None) -> None:
         start = time.perf_counter()
         got_tag, sections, values, release, zero_copy = (
             self.transport.recv_user(src, tag)
@@ -417,6 +417,7 @@ class MPNodeRuntime(NodeRuntimeBase):
                     f"rank {self.rank}: expected {tag!r} from {src}, "
                     f"got {got_tag!r}"
                 )
+            self._check_count(src, tag, values.size, count)
             nbytes = values.nbytes
             self.trace.recv(src, tag, nbytes, 0 if inplace else nbytes)
             scatter_sections(

@@ -152,7 +152,7 @@ class NodeRuntime(NodeRuntimeBase):
         self.machine.put_message(self.rank, dest, tag, sections, payload)
 
     def recv_section(
-        self, src: int, tag, name: str, inplace: bool = False
+        self, src: int, tag, name: str, inplace: bool = False, count=None
     ) -> None:
         got_tag, sections, payload = self.machine.get_message(
             src, self.rank, tag
@@ -162,6 +162,7 @@ class NodeRuntime(NodeRuntimeBase):
                 f"rank {self.rank}: expected {tag!r} from {src}, "
                 f"got {got_tag!r}"
             )
+        self._check_count(src, tag, payload.size, count)
         nbytes = payload.nbytes
         self.trace.recv(src, tag, nbytes, 0 if inplace else nbytes)
         scatter_sections(

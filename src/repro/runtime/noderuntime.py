@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from .errors import CommunicationError
 from .faults import OP_OF_METHOD
 from .trace import Trace
 
@@ -113,15 +114,25 @@ class NodeRuntimeBase(abc.ABC):
 
     @abc.abstractmethod
     def recv_section(
-        self, src: int, tag, name: str, inplace: bool = False
+        self, src: int, tag, name: str, inplace: bool = False, count=None
     ) -> None:
         """Blocking receive scattering directly into array ``name``.
 
         Uses the descriptors the *sender* shipped (minus this rank's
         allocation lower bounds), so no enumeration-order agreement is
         required; the payload is written via strided views instead of
-        index-by-index assignments.
+        index-by-index assignments.  ``count``, when given, is the
+        element count the receiver computed for this message; a payload
+        of any other size raises :class:`CommunicationError` before
+        anything is scattered.
         """
+
+    def _check_count(self, src: int, tag, received: int, count) -> None:
+        if count is not None and received != count:
+            raise CommunicationError(
+                f"rank {self.rank}: message {tag!r} from {src} holds "
+                f"{received} elements, expected {count}"
+            )
 
     @abc.abstractmethod
     def allreduce(self, op: str, value: float) -> float:

@@ -6,15 +6,18 @@ one array dimension, per-dimension strides included — becomes one **row**:
 per dimension ``(lo, hi, step)`` with ``lo`` already aligned to the
 stride, under a guard made of the conjunct's own dimension-free
 constraints.  Any other conjunct is scanned by its own loop nest into an
-exact **point list**.  The rows of one side can overlap (their partner
-coordinates were symbols at compile time), so :func:`disjoint_sections`
-removes the overlaps at run time, in ground integers: boxes with equal
-strides subtract in closed form, and lattices of unequal stride that
-meet, as well as point lists, become exact points deduplicated against
-the boxes.  A side with a single box row writes its section inline.  The
-runtime then moves each payload with numpy slice assignments — one
-vectorized copy (or none at all on the shared-memory backend) instead of
-one Python iteration per element.
+exact **point list**.  Each physical partner collects the rows and points
+of every virtual-processor pair the two ranks own, and those overlap
+(their partner coordinates were symbols at compile time, and several
+VPs of one rank can need the same element), so :func:`disjoint_sections`
+takes their union once per partner at run time, in ground integers:
+repeated rows are dropped, boxes with equal strides subtract in closed
+form, and lattices of unequal stride that meet, as well as point lists,
+become exact points deduplicated against the boxes.  Each element thus
+crosses each rank pair once per event instance.  The runtime then moves
+each payload with numpy slice assignments — one vectorized copy (or none
+at all on the shared-memory backend) instead of one Python iteration per
+element.
 
 Descriptor format — a message carries a list of sections, each one of:
 
@@ -68,13 +71,13 @@ def disjoint_sections(rows, points=(), count=False):
 
     ``rows`` are boxes, one ``(lo, hi, step)`` triple per dimension with
     ``lo`` on the lattice (a row with ``lo > hi`` in any dimension is
-    empty); ``points`` are index tuples.  Returns the slice sections plus
-    at most one fancy section, or with ``count`` only their element
-    count (what a receiver needs).
+    empty; exact repeats are dropped first); ``points`` are index tuples.
+    Returns the slice sections plus at most one fancy section, or with
+    ``count`` only their element count (what a receiver needs).
     """
     boxes: list = []
     loose: list = []
-    for row in rows:
+    for row in dict.fromkeys(rows):  # the union is idempotent
         if any(lo > hi for lo, hi, _step in row):
             continue
         pieces = [

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,9 @@ from repro.isets import (
     ops,
     parse_set,
 )
+from repro.runtime import machine
+from repro.runtime.harness import run_compiled
+from repro.runtime.sections import disjoint_sections, message_count
 
 STENCIL = """
 program s
@@ -168,7 +172,7 @@ def test_jacobi_scans_one_conjunct_per_reference():
     assert len(sets.recv_scan_map.conjuncts) == 4
     assert len(sets.send_comm_map.conjuncts) == 16
     assert len(compiled.source.encode()) < 50_000
-    assert "_pts.append" not in compiled.source  # no point lists
+    assert "_p.append" not in compiled.source  # no point lists
 
 
 @pytest.mark.parametrize("name", programs.__all__)
@@ -306,27 +310,79 @@ def test_every_event_side_scans_box_rows(monkeypatch):
     assert entered == []
 
 
+SPINE = Path(__file__).resolve().parents[2] / "benchmarks" / "spine"
+
+
+def test_each_message_carries_each_element_once(monkeypatch):
+    """On the spine programs at check size, every emitted side takes one
+    union per partner (one ``disjoint_sections(`` call, in its transfer
+    loop, and no inline section), so every message's sections are
+    pairwise disjoint."""
+    monkeypatch.syspath_prepend(str(SPINE))
+    from plans import PROGRAMS
+
+    messages = []
+    real_pack = machine.pack_sections
+
+    def pack_sections(array, lbounds, sections, force_copy):
+        messages.append(sections)
+        return real_pack(array, lbounds, sections, force_copy)
+
+    monkeypatch.setattr(machine, "pack_sections", pack_sections)
+    for name, program in PROGRAMS.items():
+        compiled = compile_program(program.source)
+        for fn in _event_functions(compiled.source):
+            assert "('S', (" not in fn, name
+            lines = fn.splitlines()
+            sides = [k for k, line in enumerate(lines) if "_bufs_" in line
+                     and line.rstrip().endswith(" = {}")]
+            calls = [k for k, line in enumerate(lines)
+                     if "disjoint_sections(" in line]
+            assert len(calls) == len(sides) > 0, name
+            for k in calls:
+                assert lines[k - 1].lstrip().startswith(
+                    "for _q, (_r, _p) in sorted(_bufs_"
+                ), (name, lines[k])
+        del messages[:]
+        run_compiled(
+            compiled, program.check, program.check_nprocs,
+            backend="inproc-seq",
+        )
+        assert messages, name
+        for sections in messages:
+            rows = [
+                tuple((start, start + (count - 1) * step, step)
+                      for start, count, step in dims)
+                for kind, dims in sections if kind == "S"
+            ]
+            points = [
+                point for kind, dims in sections if kind == "F"
+                for point in zip(*dims)
+            ]
+            assert message_count(sections) == disjoint_sections(
+                rows, points, count=True
+            ), name
+
+
 def test_non_box_conjunct_becomes_an_exact_point_list():
     """A triangular conjunct overlapping a box: one row plus one point
-    list, and at ground values the side holds exactly the set's points."""
+    list, and at ground values the partner's union holds exactly the
+    set's points."""
     subset = parse_set(
         "{[d0,d1] : 1 <= d0 <= n and d0 <= d1 <= n or "
         "2 <= d0 <= m and 1 <= d1 <= 3}"
     ).simplify(full=True)
     env = {"n": 6, "m": 4}
     expected = enumerate_points(subset, env)
-    for sending in (True, False):
-        body = _BodyEmitter.__new__(_BodyEmitter)
-        body.w = SourceWriter()
-        assert body._emit_rows(subset, {}, "_bufs", sending) == (1, 1)
-        namespace = {}
-        exec(PRELUDE, namespace)
-        namespace.update(env, _qrank=0, _bufs={})
-        exec(body.w.text(), namespace)
-        (got,) = namespace["_bufs"].values()
-        if sending:
-            points = _section_points(got)
-            assert sorted(points) == expected  # disjoint: no duplicates
-        else:
-            assert got == len(expected)
+    body = _BodyEmitter.__new__(_BodyEmitter)
+    body.w = SourceWriter()
+    assert body._emit_rows(subset, {}) == (1, 1)
+    namespace = {}
+    exec(PRELUDE, namespace)
+    namespace.update(env, _r=[], _p=[])
+    exec(body.w.text(), namespace)
+    rows, points = namespace["_r"], namespace["_p"]
+    sections = disjoint_sections(rows, points)
+    assert sorted(_section_points(sections)) == expected  # no duplicates
+    assert disjoint_sections(rows, points, count=True) == len(expected)
     assert _scan_shape(1, 1) == "1 row, 1 point list (conjunct not a box)"

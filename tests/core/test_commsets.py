@@ -10,9 +10,12 @@ from repro.core.context import collect_contexts
 from repro.core.cp import resolve_cp
 from repro.core.events import build_events
 from repro.hpf import DataMapping
-from repro.isets import count_points, enumerate_points, parse_set
+from repro.hpf.layout import VP_CYCLIC
+from repro.isets import enumerate_points, parse_set
 from repro.lang import parse_program
-from repro.programs import erlebacher, jacobi, redblack, tomcatv, widehalo
+from repro.programs import (
+    erlebacher, gauss, jacobi, redblack, tomcatv, widehalo,
+)
 from repro.runtime.harness import evaluate_bindings, run_compiled
 from repro.runtime.trace import SendEvent
 
@@ -171,10 +174,28 @@ def _traced_message_elements(compiled, params, nprocs):
     return counts
 
 
+def _owned_vps(layout, env):
+    """The (virtual) processor coordinate tuples one rank owns: its own
+    coordinate, or on a cyclic VP dim every VP of its residue."""
+    per_dim = []
+    for name, ownership in zip(layout.grid.my_names, layout.ownerships):
+        if ownership is not None and ownership.needs_vp_loops:
+            assert ownership.kind == VP_CYCLIC
+            per_dim.append(range(
+                ownership.template_lb.evaluate(env) + env[name],
+                ownership.template_ub.evaluate(env) + 1,
+                ownership.proc_count.evaluate(env),
+            ))
+        else:
+            per_dim.append([env[name]])
+    return list(itertools.product(*per_dim))
+
+
 def _exact_message_elements(compiled, params, nprocs, outer):
-    """(tag, me, q) -> points of the exact SendCommMap(me) at partner q,
-    summed over the event's outer-loop iterations (``outer`` maps each
-    outer symbol to its values)."""
+    """(tag, me, q) -> elements of the union, over every (my VP, partner
+    VP) pair ranks ``me != q`` own, of the exact SendCommMap(me) at the
+    partner VP, summed over the event's outer-loop iterations (``outer``
+    maps each outer symbol to its values)."""
     envs = [
         evaluate_bindings(compiled.mapping, params, nprocs, rank)
         for rank in range(nprocs)
@@ -183,22 +204,29 @@ def _exact_message_elements(compiled, params, nprocs, outer):
     for analysis in compiled.analyses.values():
         for event in analysis.events:
             send = event.sets.send_comm_map
-            my_names = event.placed.event.layout.grid.my_names
+            layout = event.placed.event.layout
+            my_names = layout.grid.my_names
             symbols = event.placed.event.outer_symbols
+            vps = [_owned_vps(layout, env) for env in envs]
+            ranges = {
+                vp: send.fix_input(dict(zip(send.in_dims, vp))).range()
+                for owned in vps for vp in owned
+            }
             for values in itertools.product(*(outer[s] for s in symbols)):
-                for me in range(nprocs):
-                    for q in range(nprocs):
-                        partner = {
-                            p: envs[q][name]
-                            for p, name in zip(send.in_dims, my_names)
+                for me, q in itertools.permutations(range(nprocs), 2):
+                    elements = set()
+                    for mine in vps[me]:
+                        env = {
+                            **envs[me], **dict(zip(my_names, mine)),
+                            **dict(zip(symbols, values)),
                         }
-                        elements = count_points(
-                            send.fix_input(partner).range(),
-                            {**envs[me], **dict(zip(symbols, values))},
-                        )
-                        if elements:
-                            key = (f"{event.tag}s", me, q)
-                            counts[key] = counts.get(key, 0) + elements
+                        for theirs in vps[q]:
+                            elements.update(
+                                enumerate_points(ranges[theirs], env)
+                            )
+                    if elements:
+                        key = (f"{event.tag}s", me, q)
+                        counts[key] = counts.get(key, 0) + len(elements)
     return counts
 
 
@@ -213,14 +241,17 @@ def _exact_message_elements(compiled, params, nprocs, outer):
         (tomcatv(), {"n": 24, "niter": 1}, 4, {"iter_cur": [1]}),
         (redblack(), {"n": 48, "niter": 1}, 4, {"iter_cur": [1]}),
         (widehalo(), {"n": 24, "m": 24, "niter": 1}, 2, {"iter_cur": [1]}),
+        (gauss(), {"n": 24}, 4, {"k_cur": range(1, 24)}),
     ],
     ids=["shift", "stencil", "jacobi", "erlebacher", "tomcatv", "redblack",
-         "widehalo"],
+         "widehalo", "gauss"],
 )
 def test_scanned_messages_match_exact_map(source, params, nprocs, outer):
     """Codegen scans the self-inclusive map under a ``q != me`` guard, one
-    row per conjunct with the overlaps removed at run time; every message
-    it sends must hold exactly the points of the exact map."""
+    row per conjunct, and takes the union per physical partner at run
+    time; every message it sends must hold exactly the points of the
+    exact map, each once (gauss: the pivot row once per rank, not once
+    per receiving VP)."""
     compiled = compile_program(source)
     traced = _traced_message_elements(compiled, params, nprocs)
     assert traced

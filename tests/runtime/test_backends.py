@@ -6,6 +6,8 @@ rank crash) are exercised on *every* backend without paying for a
 compile.
 """
 
+import multiprocessing
+import os
 import time
 import typing
 
@@ -21,6 +23,7 @@ from repro.runtime.backends import (
     get_backend,
     resolve_backend,
 )
+from repro.runtime.backends.mp import shm_prefix
 from repro.runtime.machine import CommunicationError, Machine
 from repro.runtime.options import (
     RECV_TIMEOUT_ENV,
@@ -49,6 +52,14 @@ def _spec(body: str, nprocs: int, recv_timeout_s: float = 2.0) -> LaunchSpec:
         recv_timeout_s=recv_timeout_s, run_timeout_s=30.0
     )
     return LaunchSpec(nprocs, source, bindings, [], options)
+
+
+def _shm_segments():
+    """This process's mp ring segments (other processes' never count)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    prefix = shm_prefix()
+    return {f for f in os.listdir("/dev/shm") if f.startswith(prefix)}
 
 
 class TestRegistry:
@@ -187,6 +198,39 @@ def test_back_to_back_launches_share_code_not_state(backend):
         for launch in (first, second)
     ]
     assert traffic[0].total_bytes == traffic[1].total_bytes > 0
+
+
+COUNT_MISMATCH = """
+def node_main(rt):
+    if rt.rank == 0:
+        rt.send_section(1, "m", "a", [("S", ((1, 3, 1),))])
+    else:
+        rt.recv_section(0, "m", "a", count=4)
+"""
+
+
+@pytest.mark.parametrize("backend", BACKENDS + ("taskgraph",))
+def test_receiver_rejects_a_message_of_the_wrong_count(backend):
+    """Rank 0 ships 3 elements where rank 1 computed 4: a typed error
+    naming both counts, well inside the receive timeout, with nothing
+    leaked or left running."""
+    spec = _spec(COUNT_MISMATCH, 2, recv_timeout_s=5.0)
+    for bindings in spec.bindings:
+        bindings.array_shapes["a"] = (4,)
+        bindings.array_lbounds["a"] = (1,)
+    before = _shm_segments()
+    start = time.monotonic()
+    with pytest.raises(CommunicationError) as info:
+        get_backend(backend).launch(spec)
+    assert time.monotonic() - start < 2.0
+    message = str(info.value)
+    assert "rank 1: message 'm' from 0 holds 3 elements, expected 4" in (
+        message
+    )
+    for proc in multiprocessing.active_children():
+        proc.join(timeout=5.0)
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() - before == set()
 
 
 class TestSequentialDeterminism:

@@ -229,3 +229,12 @@ class TestDisjointSections:
     def test_points_inside_a_box_are_dropped(self):
         sections = disjoint_sections([((0, 4, 1),)], [(2,), (7,), (7,)])
         assert sections == [("S", ((0, 5, 1),)), ("F", ((7,),))]
+
+    def test_repeated_rows_give_one_section(self):
+        """A pivot row needed by 24 VPs of one rank is sent once."""
+        row = ((5, 5, 1), (6, 48, 1))
+        sections = disjoint_sections([row] * 24)
+        assert sections == [("S", ((5, 1, 1), (6, 43, 1)))]
+        assert disjoint_sections([row] * 24, count=True) == (
+            disjoint_sections([row], count=True)
+        ) == 43
