@@ -282,7 +282,7 @@ def _fold_statement_guard(be, cp, var, piece_conjunct, prefix_vars):
             if base.coeff(var):
                 raise _Disqualify("stride residue on the loop var")
             # Canonical residue representative — keeps emission independent
-            # of the solver's congruent form (see loopgen._detect_strides).
+            # of the solver's congruent form (see spmd._detect_strides).
             base = base.reduced_mod(modulus)
             guard_terms.append(
                 f"{emit_linexpr(base, be.rename)} % {modulus} == 0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import keyword
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,18 +37,16 @@ from ..isets import (
     LinExpr,
     Space,
 )
-from ..isets.bounds import extract_bounds, inequality_projection
-from ..isets.errors import CodegenError
-from ..isets.loopgen import (
-    GuardNode,
-    LoopNode,
-    StmtNode,
-    _dedup_bounds,
-    _dedup_constraints,
-    _detect_strides,
-    generate_loops,
+from ..isets.bounds import (
+    SymbolicBound,
+    _fme_step,
+    extract_bounds,
+    inequality_projection,
+    relax_equalities,
 )
+from ..isets.errors import CodegenError
 from ..isets.omega import solve_equalities
+from ..isets.ops import _pivot_wildcard
 from ..hpf.layout import (
     DataMapping,
     DimOwnership,
@@ -745,17 +744,8 @@ class _BodyEmitter:
                 self.w.line(f"if {guard_text}:")
                 self.w.push()
                 guarded = True
-        lower = emit_lower(lowers, self.rename)
-        upper = emit_upper(uppers, self.rename)
-        if stride > 1:
-            base_text = emit_linexpr(base, self.rename)
-            self.w.line(
-                f"for {var} in range(_align({lower}, {base_text}, "
-                f"{stride}), {upper} + 1, {stride}):"
-            )
-        else:
-            self.w.line(f"for {var} in range({lower}, {upper} + 1):")
-        self.w.push()
+        (span,) = _span_texts([(lowers, uppers, stride, base)], self.rename)
+        self._open_for(var, span)
         inner_guarded = False
         if member_guard is not None:
             args = ", ".join(prefix_vars)
@@ -1180,10 +1170,7 @@ class _BodyEmitter:
                     continue
             row = _box_row(solved, dims)
             if row is None:
-                nests.append(generate_loops(
-                    IntegerSet(data_set.space, [conjunct]), None,
-                    disjoint=True,
-                ))
+                nests.append(conjunct)
             else:
                 rows.append((
                     _guard_terms(row[0], rename), _span_texts(row[1], rename)
@@ -1200,9 +1187,59 @@ class _BodyEmitter:
             self.w.depth -= own
         self.w.depth -= opened
         leaf = f"_p.append(({_tuple_text(list(dims))}))"
-        for node in itertools.chain(*nests):
-            self._emit_loop_node(node, rename, leaf)
+        for conjunct in nests:
+            self._emit_point_nest(conjunct, dims, rename, leaf)
         return len(rows), len(nests)
+
+    def _emit_point_nest(self, conjunct, dims, rename, leaf: str):
+        """The loop nest running ``leaf`` at each point of ``conjunct``,
+        in lexicographic order.  Bounds per level come from relaxed
+        Fourier–Motzkin projection; its looseness only yields zero-trip
+        inner loops, since every constraint is a bound at its deepest
+        dim.  A stride is the loop step, constraints on no dim and level-0
+        divisibility tests guard the nest, and a deeper divisibility test
+        opens just inside its own loop."""
+        solved = solve_equalities(conjunct, set(conjunct.free_variables()))
+        if solved is None:
+            return
+        constraints, strides, mods = _detect_strides(solved, dims)
+        levels = [relax_equalities(constraints)]  # levels[k]: dims[:k]
+        for dim in reversed(dims):
+            levels.insert(0, _fme_step(levels[0], dim))
+        spans = []
+        for index, dim in enumerate(dims):
+            lowers, uppers, _rest = extract_bounds(levels[index + 1], dim)
+            if not lowers or not uppers:
+                raise CodegenError(
+                    f"dimension {dim} of the scanned set is unbounded"
+                )
+            stride = strides.get(dim)
+            spans.append((
+                _dedup_bounds(lowers), _dedup_bounds(uppers),
+                stride.modulus if stride else 1,
+                stride.base if stride else None,
+            ))
+        mods_at: Dict[int, List] = {}
+        for expr, modulus, level in mods:
+            mods_at.setdefault(level, []).append((expr, modulus))
+        guard = [c for c in levels[0] if not c.is_tautology()]
+        opened = self._open_if(_guard_terms(
+            _dedup_constraints(guard) + mods_at.get(0, []), rename
+        ))
+        for index, span in enumerate(_span_texts(spans, rename)):
+            self._open_for(dims[index], span)
+            opened += 1 + self._open_if(
+                _guard_terms(mods_at.get(index + 1, []), rename)
+            )
+        self.w.line(leaf)
+        self.w.depth -= opened
+
+    def _open_for(self, var: str, span: Tuple[str, str, int]):
+        """Open ``for var in range(...)`` over a ``_span_texts`` span."""
+        lower, upper, stride = span
+        step = f", {stride}" if stride > 1 else ""
+        self.w.line(f"for {var} in range({lower}, {upper} + 1{step}):")
+        self.w.push()
 
     def _open_if(self, terms: List[str]) -> int:
         """Open ``if`` over ``terms`` unless there are none; returns the
@@ -1225,39 +1262,6 @@ class _BodyEmitter:
             extent = emit_linexpr(grid.extent_affine(dim), self.rename)
             text = f"({text}) * {extent} + {vars[dim]}"
         return text
-
-    def _emit_loop_node(self, node, rename, leaf: str):
-        """A ``generate_loops`` node, with ``leaf`` as the statement."""
-        if isinstance(node, StmtNode):
-            self.w.line(leaf)
-            return
-        if isinstance(node, GuardNode):
-            opened = self._open_if(
-                _guard_terms(node.constraints + node.mods, rename)
-            )
-            for child in node.body:
-                self._emit_loop_node(child, rename, leaf)
-            self.w.depth -= opened
-            return
-        if isinstance(node, LoopNode):
-            lower = emit_lower(node.lowers, rename)
-            upper = emit_upper(node.uppers, rename)
-            if node.stride > 1:
-                base = emit_linexpr(node.align_base, rename)
-                self.w.line(
-                    f"for {node.var} in range(_align({lower}, {base}, "
-                    f"{node.stride}), {upper} + 1, {node.stride}):"
-                )
-            else:
-                self.w.line(
-                    f"for {node.var} in range({lower}, {upper} + 1):"
-                )
-            self.w.push()
-            for child in node.body:
-                self._emit_loop_node(child, rename, leaf)
-            self.w.pop()
-            return
-        raise CodegenError(f"unknown loop node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1383,6 +1387,95 @@ def _span_texts(spans, rename) -> List[Tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 # Bound helpers
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _StrideInfo:
+    dim: str
+    modulus: int
+    base: LinExpr  # expression over outer dims / parameters
+
+
+def _detect_strides(
+    conjunct: Conjunct, dims: Sequence[str]
+) -> Tuple[List[Constraint], Dict[str, _StrideInfo], List[Tuple[LinExpr, int, int]]]:
+    """Split off stride equalities.
+
+    Returns ``(remaining_constraints, strides, mod_guards)``:
+
+    * the *first* stride equality per dimension becomes a loop step
+      (modulus = gcd of its wildcard coefficients, which is exact by
+      Bezout since the wildcards occur nowhere else after pivoting);
+    * further stride equalities on the same dim, and parameter-only
+      divisibility constraints, become runtime modulus guards
+      ``(expr, modulus, level)``, placed just inside loop ``level``.
+    """
+    prepared = conjunct
+    for wildcard in conjunct.wildcards:
+        prepared = _pivot_wildcard(prepared, wildcard)
+    depth = {d: k for k, d in enumerate(dims)}
+    strides: Dict[str, _StrideInfo] = {}
+    remaining: List[Constraint] = []
+    mod_guards: List[Tuple[LinExpr, int, int]] = []
+    for constraint in prepared.constraints:
+        wilds = [w for w in prepared.wildcards if constraint.coeff(w)]
+        if not wilds:
+            remaining.append(constraint)
+            continue
+        if not constraint.is_equality:
+            raise CodegenError(
+                f"cannot scan wildcard constraint: {constraint}"
+            )
+        modulus = 0
+        core = constraint.expr
+        for w in wilds:
+            modulus = math.gcd(modulus, abs(constraint.coeff(w)))
+            core = core.substitute(w, 0)
+        in_dims = [v for v in core.variables() if v in depth]
+        if not in_dims:
+            # Parameter-only divisibility, e.g. exists(a : N = 2a).
+            mod_guards.append((core.reduced_mod(modulus), modulus, 0))
+            continue
+        innermost = max(in_dims, key=lambda v: depth[v])
+        coeff = core.coeff(innermost)
+        if abs(coeff) != 1 or innermost in strides:
+            # Second stride on this dim (or a non-unit coefficient): keep
+            # it as an exact runtime divisibility guard at the dim's level.
+            mod_guards.append(
+                (core.reduced_mod(modulus), modulus, depth[innermost] + 1)
+            )
+            continue
+        # core = c*innermost + R, c = ±1 → innermost ≡ -R/c (mod modulus).
+        # The base is canonicalized mod the stride: emitted code only uses
+        # its residue class, and the solver-produced representative is not
+        # deterministic across process histories (fresh-name state).
+        rest = core.substitute(innermost, 0)
+        base = rest.scaled(-1) if coeff == 1 else rest
+        strides[innermost] = _StrideInfo(
+            innermost, modulus, base.reduced_mod(modulus)
+        )
+    return remaining, strides, mod_guards
+
+
+def _dedup_bounds(bounds: List[SymbolicBound]) -> List[SymbolicBound]:
+    seen = set()
+    unique: List[SymbolicBound] = []
+    for bound in bounds:
+        key = (bound.expr, bound.divisor, bound.is_lower)
+        if key not in seen:
+            seen.add(key)
+            unique.append(bound)
+    return unique
+
+
+def _dedup_constraints(constraints: List[Constraint]) -> List[Constraint]:
+    seen = set()
+    unique: List[Constraint] = []
+    for constraint in constraints:
+        if constraint not in seen:
+            seen.add(constraint)
+            unique.append(constraint)
+    return unique
+
 
 def _var_bounds(conjunct: Conjunct, var: str, prefix_vars: List[str]):
     """Bounds and stride for a loop var; bounds may reference outer vars,

@@ -153,16 +153,6 @@ def compile_program(
     compile cache is consulted first and populated on a miss.
     """
     options = options or CompilerOptions()
-    if options.caching not in ("on", "off"):
-        raise ValueError(
-            f"CompilerOptions.caching must be 'on' or 'off', "
-            f"got {options.caching!r}"
-        )
-    if options.compute not in ("kernels", "scalar"):
-        raise ValueError(
-            f"CompilerOptions.compute must be 'kernels' or 'scalar', "
-            f"got {options.compute!r}"
-        )
     if options.caching == "off":
         with reference_arm(memo_off=True):
             return _compile_program_impl(source, options)

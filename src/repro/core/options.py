@@ -48,5 +48,37 @@ class CompilerOptions:
     #: only — never changes compile results; not part of the fingerprint.
     profile_sets: bool = False
 
+    def __post_init__(self) -> None:
+        """Reject a value no compile path handles, naming the field, so
+        a typo is refused where the options are built (the service maps
+        the ``ValueError`` to HTTP 400) instead of compiling as if it
+        were some other value."""
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"CompilerOptions.{name} must be "
+                    f"{' or '.join(map(repr, allowed))}, got {value!r}"
+                )
+        for name in _SWITCHES:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"CompilerOptions.{name} must be a bool, got {value!r}"
+                )
+        if not isinstance(self.cache_dir, (str, type(None))):
+            raise ValueError(
+                f"CompilerOptions.cache_dir must be a str or None, "
+                f"got {self.cache_dir!r}"
+            )
+
     def with_(self, **changes) -> "CompilerOptions":
         return replace(self, **changes)
+
+
+_CHOICES = {
+    "buffer_mode": ("overlap", "direct"),
+    "compute": ("kernels", "scalar"),
+    "caching": ("on", "off"),
+}
+_SWITCHES = ("coalesce", "inplace", "loop_split", "active_vp", "profile_sets")

@@ -4,7 +4,9 @@ This package provides, in pure Python, the subset of the Omega library's
 functionality the paper relies on: Presburger sets and maps (unions of
 existentially quantified affine conjuncts), exact integer projection and
 emptiness (Pugh's Omega test), the set algebra of the paper's Appendix A,
-and loop code generation from sets.
+and the bound extraction loop code generation needs.  The loops themselves
+are written by the SPMD emitter (:mod:`repro.codegen.spmd`), the one code
+generator.
 """
 
 from .constraint import Constraint, ceil_div, floor_div
@@ -19,15 +21,6 @@ from .errors import (
 )
 from .linexpr import LinExpr, lin_sum
 from .bounds import SymbolicBound, ground_range, inequality_projection
-from .loopgen import (
-    GuardNode,
-    LoopNode,
-    SeqNode,
-    StmtNode,
-    generate_loops,
-    run_loops,
-)
-from .mmcodegen import codegen as mm_codegen
 from .ops import IntegerMap, IntegerSet, disjoint_subtract, split_disjoint
 from .parse import parse_map, parse_set
 from .points import (
@@ -49,17 +42,10 @@ from .space import Space, fresh_name
 
 __all__ = [
     "Answer",
-    "GuardNode",
-    "LoopNode",
-    "SeqNode",
-    "StmtNode",
     "SymbolicBound",
     "disjoint_subtract",
-    "generate_loops",
     "ground_range",
     "inequality_projection",
-    "mm_codegen",
-    "run_loops",
     "split_disjoint",
     "CodegenError",
     "Conjunct",

@@ -3,8 +3,8 @@
 Enumeration is used by the test suites (to compare the symbolic algebra
 against brute force) and by the runtime when it needs explicit data tuples
 (e.g. building the index lists of a packed message).  Generated SPMD code
-does *not* enumerate: it runs loop nests produced by
-:mod:`repro.isets.loopgen`.
+does *not* enumerate: it runs the loop nests and box rows that
+:mod:`repro.codegen.spmd` writes.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ independent computation while staying bitwise-identical to the
 """
 
 from .backend import TaskGraphBackend
-from .graph import condense, longest_path, tarjan_scc
+from .graph import condense, tarjan_scc
 from .lower import build_task_plan, trivial_plan
 from .machine import TaskMachine
 from .plan import TaskPlan, TaskUnit
@@ -35,7 +35,6 @@ __all__ = [
     "SchedulerStats",
     "build_task_plan",
     "condense",
-    "longest_path",
     "tarjan_scc",
     "trivial_plan",
 ]

@@ -15,9 +15,9 @@ forward topological order schedulers want.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["tarjan_scc", "condense", "longest_path"]
+__all__ = ["tarjan_scc", "condense"]
 
 
 def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -107,26 +107,3 @@ def condense(
         }
         comp_adj.append(sorted(succs))
     return comp_of, components, comp_adj
-
-
-def longest_path(
-    n: int,
-    adj: Sequence[Sequence[int]],
-    weight: Sequence[float],
-) -> float:
-    """Critical-path length of a DAG under per-node weights.
-
-    Nodes must be topologically numbered ascending along every edge
-    (what the planner's instance DAG guarantees); raises ``ValueError``
-    on a back edge rather than silently under-reporting.
-    """
-    best = list(weight)
-    for u in range(n):
-        for v in adj[u]:
-            if v <= u:
-                raise ValueError(
-                    f"edge {u}->{v} violates topological numbering"
-                )
-            if best[u] + weight[v] > best[v]:
-                best[v] = best[u] + weight[v]
-    return max(best, default=0.0)

@@ -152,35 +152,3 @@ class RunStatistics:
             total_flops_vectorized=sum(t.flops_vectorized for t in traces),
             total_flops_scalar=sum(t.flops_scalar for t in traces),
         )
-
-    def merge(self, other: "RunStatistics") -> "RunStatistics":
-        """Combine summaries of two disjoint rank groups.
-
-        ``from_traces(a + b) == from_traces(a).merge(from_traces(b))`` —
-        used when per-rank traces are gathered incrementally (e.g. as
-        multiprocess workers report in).
-        """
-        return RunStatistics(
-            nprocs=self.nprocs + other.nprocs,
-            total_messages=self.total_messages + other.total_messages,
-            total_bytes=self.total_bytes + other.total_bytes,
-            total_copies=self.total_copies + other.total_copies,
-            total_checks=self.total_checks + other.total_checks,
-            max_compute=max(self.max_compute, other.max_compute),
-            total_compute=self.total_compute + other.total_compute,
-            total_bytes_copied=(
-                self.total_bytes_copied + other.total_bytes_copied
-            ),
-            total_bytes_viewed=(
-                self.total_bytes_viewed + other.total_bytes_viewed
-            ),
-            total_flops_vectorized=(
-                self.total_flops_vectorized + other.total_flops_vectorized
-            ),
-            total_flops_scalar=(
-                self.total_flops_scalar + other.total_flops_scalar
-            ),
-            # Scheduler counters describe one launch, not a rank group;
-            # keep whichever side has them.
-            scheduler=self.scheduler or other.scheduler,
-        )

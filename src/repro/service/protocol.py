@@ -58,7 +58,7 @@ def options_from_wire(data: Optional[Dict[str, object]]) -> CompilerOptions:
         )
     try:
         return CompilerOptions(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadRequest(f"bad options: {exc}")
 
 

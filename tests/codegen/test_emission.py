@@ -22,7 +22,6 @@ from repro.isets import (
     LinExpr,
     Space,
     enumerate_points,
-    loopgen,
     ops,
     parse_set,
 )
@@ -273,9 +272,6 @@ def test_every_event_side_scans_box_rows(monkeypatch):
             inside[0] -= 1
 
     monkeypatch.setattr(_BodyEmitter, "_emit_event", emit_event)
-    monkeypatch.setattr(
-        loopgen, "split_disjoint", counted(loopgen.split_disjoint)
-    )
     monkeypatch.setattr(ops, "split_disjoint", counted(ops.split_disjoint))
     sides = rows = 0
     for name in programs.__all__:

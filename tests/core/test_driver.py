@@ -84,6 +84,17 @@ class TestDriver:
 
 
 class TestRejections:
+    @pytest.mark.parametrize("field,value", [
+        ("buffer_mode", "drect"), ("compute", "bogus"),
+        ("caching", "maybe"), ("inplace", "no"), ("coalesce", 1),
+        ("profile_sets", None), ("cache_dir", 7),
+    ])
+    def test_options_refused_where_built(self, field, value):
+        with pytest.raises(ValueError, match=f"CompilerOptions.{field}"):
+            CompilerOptions(**{field: value})
+        with pytest.raises(ValueError, match=f"CompilerOptions.{field}"):
+            CompilerOptions().with_(**{field: value})
+
     def test_nonaffine_subscript_rejected(self):
         src = STENCIL.replace("b(i-1)", "b(i*i)")
         with pytest.raises(Exception) as info:

@@ -3,7 +3,7 @@
 The engine has one emptiness pipeline, one projection order and no
 environment-driven tuning; the compiler has nine option fields.  A new
 ``REPRO_*`` variable under ``isets/``, a resurrected thread-pool module
-or a tenth option field fails here, so it has to be argued for in review.
+or loop generator, or a tenth option field fails here, so it has to be argued for in review.
 So does a second spelling of "memoize unless the reference arm is on,
 time if profiled": one gate, one per-thread record, one exact key.
 """
@@ -31,6 +31,11 @@ def test_no_knob_comes_back():
 
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.isets.parallel")
+
+    # One loop generator: the SPMD emitter writes every nest itself.
+    for module in ("repro.isets.loopgen", "repro.isets.mmcodegen"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     assert {f.name for f in dataclasses.fields(CompilerOptions)} == {
         "coalesce",

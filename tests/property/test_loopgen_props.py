@@ -1,9 +1,14 @@
-"""Property-based tests: loop generation scans exactly the set."""
+"""Property-based tests: the SPMD emitter's scan of a communication side
+visits exactly the set.  A side is emitted by ``_BodyEmitter._emit_rows``
+(box rows and exact point nests), executed at ground values and compared
+with brute force over a small box."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.codegen.pyexpr import PRELUDE, SourceWriter
+from repro.codegen.spmd import _BodyEmitter
 from repro.isets import (
     Conjunct,
     Constraint,
@@ -11,29 +16,22 @@ from repro.isets import (
     LinExpr,
     Space,
     fresh_name,
-    generate_loops,
-    run_loops,
-    mm_codegen,
 )
+from repro.runtime.sections import disjoint_sections
 
 DIMS = ("x", "y")
 BOX = (0, 7)
-
-
-def _box_constraints():
-    constraints = []
-    for dim in DIMS:
-        v = LinExpr.var(dim)
-        constraints.append(Constraint.geq(v, BOX[0]))
-        constraints.append(Constraint.leq(v, BOX[1]))
-    return constraints
 
 
 @st.composite
 def bounded_sets(draw):
     conjuncts = []
     for _ in range(draw(st.integers(1, 2))):
-        constraints = list(_box_constraints())
+        constraints = []
+        for dim in DIMS:
+            v = LinExpr.var(dim)
+            constraints.append(Constraint.geq(v, BOX[0]))
+            constraints.append(Constraint.leq(v, BOX[1]))
         wildcards = []
         for _ in range(draw(st.integers(0, 2))):
             cx = draw(st.integers(-2, 2))
@@ -59,56 +57,53 @@ def bounded_sets(draw):
 
 
 def brute(subset):
-    result = set()
     lo, hi = BOX
-    for point in itertools.product(range(lo, hi + 1), repeat=2):
-        if subset.contains(point):
-            result.add(point)
-    return result
-
-
-def scan(fragments):
-    points = []
-    run_loops(
-        fragments, {}, lambda payload, env: points.append(
-            (env["x"], env["y"])
-        )
+    return sorted(
+        point
+        for point in itertools.product(range(lo, hi + 1), repeat=2)
+        if subset.contains(point)
     )
-    return points
+
+
+def _run(method, *args):
+    """``(rows, points)`` the text ``method`` writes on a bare body
+    emitter appends when executed."""
+    body = _BodyEmitter.__new__(_BodyEmitter)
+    body.w = SourceWriter()
+    method(body, *args)
+    namespace = {"_r": [], "_p": []}
+    exec(PRELUDE, namespace)
+    exec(body.w.text(), namespace)
+    return namespace["_r"], namespace["_p"]
 
 
 @settings(max_examples=30, deadline=None)
 @given(bounded_sets())
 def test_generated_loops_scan_exactly_the_set(subset):
-    points = scan(generate_loops(subset, "S"))
-    assert len(points) == len(set(points)), "duplicate iteration"
-    assert set(points) == brute(subset)
+    subset = subset.simplify(full=True)
+    rows, points = _run(_BodyEmitter._emit_rows, subset, {})
+    shipped = []
+    for kind, dims in disjoint_sections(rows, points):
+        if kind == "S":
+            shipped += itertools.product(
+                *(range(start, start + count * step, step)
+                  for start, count, step in dims)
+            )
+        else:
+            shipped += zip(*dims)
+    assert sorted(shipped) == brute(subset)  # and no duplicate
 
 
 @settings(max_examples=30, deadline=None)
 @given(bounded_sets())
 def test_single_conjunct_scan_is_lexicographic(subset):
-    # Global lexicographic order is guaranteed per disjoint piece (a union
-    # emits one nest per piece, sequentially — see DESIGN.md); for a single
-    # conjunct that is the whole set.
-    piece = IntegerSet(subset.space, subset.conjuncts[:1])
-    points = scan(generate_loops(piece, "S"))
-    assert points == sorted(points)
-
-
-@settings(max_examples=20, deadline=None)
-@given(bounded_sets(), bounded_sets())
-def test_mm_codegen_executes_each_statement_once(a, b):
-    events = []
-    run_loops(
-        mm_codegen([(a, "A"), (b, "B")]),
-        {},
-        lambda payload, env: events.append(
-            ((env["x"], env["y"]), payload)
-        ),
-    )
-    assert len(events) == len(set(events)), "duplicate execution"
-    a_points = {point for point, payload in events if payload == "A"}
-    b_points = {point for point, payload in events if payload == "B"}
-    assert a_points == brute(a)
-    assert b_points == brute(b)
+    # Within one conjunct the point nest appends each point once, in
+    # lexicographic order.
+    subset = subset.simplify(full=True)
+    for conjunct in subset.conjuncts:
+        _, points = _run(
+            _BodyEmitter._emit_point_nest, conjunct, DIMS, {},
+            "_p.append((x, y))",
+        )
+        assert points == sorted(set(points))
+        assert points == brute(IntegerSet(subset.space, [conjunct]))

@@ -14,7 +14,7 @@ import typing
 import numpy as np
 import pytest
 
-from repro.runtime import RankCrashError, RunStatistics, Trace
+from repro.runtime import RankCrashError, RunStatistics
 from repro.runtime.backends import (
     ExecutionBackend,
     LaunchSpec,
@@ -319,21 +319,3 @@ class TestTraceTypes:
         assert members == {
             ComputeEvent, SendEvent, RecvEvent, CollectiveEvent,
         }
-
-    def test_run_statistics_merge_roundtrip(self):
-        t0, t1, t2 = Trace(0), Trace(1), Trace(2)
-        t0.compute(5.0)
-        t0.send(1, "a", 80, 80)
-        t1.recv(0, "a", 80, 0)
-        t1.compute(9.0)
-        t1.check(4)
-        t2.collective("allreduce", 8)
-        t2.compute(2.0)
-
-        whole = RunStatistics.from_traces([t0, t1, t2])
-        merged = RunStatistics.from_traces([t0]).merge(
-            RunStatistics.from_traces([t1, t2])
-        )
-        assert merged == whole
-        assert merged.nprocs == 3
-        assert merged.max_compute == 9.0

@@ -157,6 +157,14 @@ def test_bad_requests_are_400(client):
     bad_option = client.compile(PROGRAM, options={"bogus": 1})
     assert bad_option["ok"] is False
     assert bad_option["error"]["type"] == "BadRequest"
+    # A known field with a value no compile path handles is refused too,
+    # naming the field.
+    for field, value in (("buffer_mode", "drect"), ("inplace", "no"),
+                         ("compute", "bogus"), ("caching", "maybe")):
+        response = client.compile(PROGRAM, options={field: value})
+        assert response["ok"] is False, field
+        assert response["error"]["type"] == "BadRequest", field
+        assert field in response["error"]["message"], field
     empty = client.request("POST", "/compile", payload={"source": "  "})
     assert empty["ok"] is False
     missing = client.request("GET", "/nowhere")
