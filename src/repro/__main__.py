@@ -53,6 +53,19 @@ def _parse_params(pairs: List[str]) -> Dict[str, int]:
     return params
 
 
+def _retries(text: str) -> int:
+    """``--retries``: a retry count, never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer >= 0, got {text!r}"
+        )
+    return value
+
+
 def _options_from(args) -> "CompilerOptions":
     from .core.options import CompilerOptions
 
@@ -510,7 +523,7 @@ def main(argv=None) -> int:
         help="comma-separated backends the supervisor degrades to after "
              "the primary exhausts its retries (e.g. 'threads,inproc-seq')")
     p_run.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_retries, default=0, metavar="N",
         help="re-launch up to N times per backend on transient failures "
              "(rank crash, timeout, launch error), with deterministic "
              "exponential backoff")
@@ -587,7 +600,8 @@ def main(argv=None) -> int:
                           help="compile to an artifact without running")
     p_submit.add_argument("--json", action="store_true",
                           help="print the machine-readable JSON response")
-    p_submit.add_argument("--retries", type=int, default=0, metavar="N")
+    p_submit.add_argument("--retries", type=_retries, default=0,
+                          metavar="N")
     p_submit.add_argument("--fallback-backends", default=None,
                           metavar="NAMES")
     p_submit.add_argument("--fault-spec", default=None, metavar="SPEC")

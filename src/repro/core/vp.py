@@ -17,7 +17,7 @@ SUIF/Gupta et al. the paper claims).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..isets import IntegerMap, IntegerSet
 from ..hpf.layout import Layout
@@ -35,14 +35,22 @@ class ActiveVPSets:
     active_recv_vp: IntegerSet
 
 
-def busy_vp_set(cp_infos: Sequence[CPInfo]) -> IntegerSet:
-    """``busyVPSet = ∪ Domain(CPMap_r)`` for a partitioned computation."""
+def busy_vp_set(
+    cp_maps: Sequence[Union[CPInfo, IntegerMap]], proc_dims=()
+) -> IntegerSet:
+    """``busyVPSet = ∪ Domain(CPMap_r)`` for a partitioned computation.
+
+    ``cp_maps`` are CP maps, or the :class:`CPInfo` holding them; no map
+    at all gives the empty set over ``proc_dims``.
+    """
     result: Optional[IntegerSet] = None
-    for cp in cp_infos:
-        domain = cp.cp_map.domain()
+    for cp_map in cp_maps:
+        if isinstance(cp_map, CPInfo):
+            cp_map = cp_map.cp_map
+        domain = cp_map.domain()
         result = domain if result is None else result.union(domain)
     if result is None:
-        raise ValueError("busy_vp_set of no statements")
+        return IntegerSet.empty(proc_dims)
     return result.simplify()
 
 
@@ -56,13 +64,12 @@ def compute_active_vp_sets(event: CommEvent) -> ActiveVPSets:
     }
     for kind in ("read", "write"):
         refs = event.reads if kind == "read" else event.writes
-        busy_set: Optional[IntegerSet] = None
+        cp_maps = []
         for event_ref in refs:
             cp_v = _restricted_cp_map(
                 event_ref, event.level, event.outer_symbols
             )
-            domain = cp_v.domain()
-            busy_set = domain if busy_set is None else busy_set.union(domain)
+            cp_maps.append(cp_v)
             ref_map = reference_map(
                 event_ref.cp.context, event_ref.reference, layout
             )
@@ -71,11 +78,7 @@ def compute_active_vp_sets(event: CommEvent) -> ActiveVPSets:
             nl_accessed[kind] = (
                 accessed if current is None else current.union(accessed)
             )
-        busy[kind] = (
-            busy_set.simplify()
-            if busy_set is not None
-            else IntegerSet.empty(layout.proc_dims)
-        )
+        busy[kind] = busy_vp_set(cp_maps, layout.proc_dims)
 
     owns_nl: Dict[str, IntegerSet] = {}
     accesses_nl: Dict[str, IntegerSet] = {}

@@ -97,7 +97,6 @@ class RankTiming:
     rank: int
     wall_s: float  # total wall-clock inside node_main
     comm_wall_s: float = 0.0  # wall-clock inside send/recv/collectives
-    per_event_s: List[float] = field(default_factory=list)
 
 
 @dataclass

@@ -124,10 +124,10 @@ class SequentialMachine(Machine):
 
     # -- transport --------------------------------------------------------------
 
-    def put_message(self, src, dest, tag, indices, data) -> None:
+    def put_message(self, src, dest, tag, sections, data) -> None:
         with self._cond:
             self._mail.setdefault((src, dest), deque()).append(
-                (tag, indices, data)
+                (tag, sections, data)
             )
 
     def get_message(self, src, dest, tag):

@@ -50,7 +50,7 @@ import struct
 import time
 import traceback
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from ..errors import (
 )
 from ..faults import arm_runtime
 from ..machine import RankResult
-from ..sections import own_payload, pack_sections, scatter_sections
+from ..sections import pack_sections, scatter_sections
 from .base import (
     ExecutionBackend,
     LaunchResult,
@@ -342,47 +342,12 @@ class MPNodeRuntime(NodeRuntimeBase):
         super().__init__(rank, nprocs, env, arrays, lbounds, scalars)
         self.transport = transport
         self.comm_wall_s = 0.0
-        self.per_event_s: List[float] = []
         self._coll_seq = 0
 
     def _clocked(self, start: float) -> None:
-        elapsed = time.perf_counter() - start
-        self.comm_wall_s += elapsed
-        self.per_event_s.append(elapsed)
+        self.comm_wall_s += time.perf_counter() - start
 
     # -- communication ----------------------------------------------------------
-
-    def send(self, dest, tag, values, indices=None, inplace=False) -> None:
-        start = time.perf_counter()
-        data, copied = own_payload(values)
-        nbytes = data.nbytes
-        self.trace.send(dest, tag, nbytes, 0 if inplace else nbytes)
-        self.trace.data_copied(copied)
-        self.transport.send_user(dest, tag, indices, data, owned=True)
-        self._clocked(start)
-
-    def recv(self, src, tag, inplace=False):
-        start = time.perf_counter()
-        got_tag, indices, values, release, _zero_copy = (
-            self.transport.recv_user(src, tag)
-        )
-        try:
-            if got_tag != tag:
-                raise CommunicationError(
-                    f"rank {self.rank}: expected {tag!r} from {src}, "
-                    f"got {got_tag!r}"
-                )
-            # Forced copy: ``values`` may be a view into the shared ring
-            # that dies at release(), and the caller may hold the result
-            # indefinitely.  One vectorized copy, no per-element list.
-            data = np.array(values, dtype=np.float64)
-        finally:
-            release()
-        nbytes = data.nbytes
-        self.trace.recv(src, tag, nbytes, 0 if inplace else nbytes)
-        self.trace.data_copied(nbytes)
-        self._clocked(start)
-        return indices, data
 
     def send_section(
         self, dest, tag, name, sections, inplace=False
@@ -439,10 +404,6 @@ class MPNodeRuntime(NodeRuntimeBase):
             "min": lambda a, b: a if a <= b else b,
         }
         return self._tree_combine(value, ops[op])
-
-    def barrier(self) -> None:
-        self.trace.collective("barrier", 0)
-        self._tree_combine(0.0, lambda a, b: 0.0)
 
     def _tree_combine(self, value, op2: Callable) -> float:
         """Binomial-tree reduce to rank 0, then tree broadcast back."""
@@ -566,9 +527,7 @@ def _worker_main(
         start = time.perf_counter()
         node_main(runtime)
         wall = time.perf_counter() - start
-        timing = RankTiming(
-            rank, wall, runtime.comm_wall_s, runtime.per_event_s
-        )
+        timing = RankTiming(rank, wall, runtime.comm_wall_s)
         result_queue.put(
             (
                 "ok",

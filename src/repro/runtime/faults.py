@@ -63,12 +63,9 @@ WORKER_FAULT_KINDS = ("worker-crash", "worker-stall")
 
 #: method name → op category, shared by phase tracking and injection.
 OP_OF_METHOD = {
-    "send": "send",
     "send_section": "send",
-    "recv": "recv",
     "recv_section": "recv",
     "allreduce": "collective",
-    "barrier": "collective",
     "work": "step",
 }
 

@@ -84,6 +84,14 @@ class RetryPolicy:
     #: which would otherwise sleep for minutes after a crash streak.
     backoff_cap_s: Optional[float] = None
 
+    def __post_init__(self):
+        # A budget of zero would make no launch and leave nothing to
+        # report.
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {self.max_attempts}"
+            )
+
     def backoff_s(self, attempt: int) -> float:
         """Delay before re-launching after global attempt ``attempt``."""
         base = self.backoff_base_s * self.backoff_factor ** attempt

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .noderuntime import NodeRuntimeBase
 from .options import default_recv_timeout
-from .sections import own_payload, pack_sections, scatter_sections
+from .sections import pack_sections, scatter_sections
 from .trace import Trace
 
 __all__ = [
@@ -108,32 +108,6 @@ class NodeRuntime(NodeRuntimeBase):
 
     # -- communication ----------------------------------------------------------
 
-    def send(
-        self, dest: int, tag, values, indices=None, inplace: bool = False
-    ) -> None:
-        data, copied = own_payload(values)
-        nbytes = data.nbytes
-        self.trace.send(dest, tag, nbytes, 0 if inplace else nbytes)
-        self.trace.data_copied(copied)
-        self.machine.put_message(self.rank, dest, tag, indices, data)
-
-    def recv(self, src: int, tag, inplace: bool = False):
-        """Returns ``(indices, values)`` for the next message from src."""
-        got_tag, indices, data = self.machine.get_message(
-            src, self.rank, tag
-        )
-        if got_tag != tag:
-            raise CommunicationError(
-                f"rank {self.rank}: expected {tag!r} from {src}, "
-                f"got {got_tag!r}"
-            )
-        data = np.asarray(data, dtype=np.float64)
-        nbytes = data.nbytes
-        self.trace.recv(src, tag, nbytes, 0 if inplace else nbytes)
-        # Values are a float64 ndarray (sequence-compatible with the old
-        # per-element list contract, without materializing one).
-        return indices, data
-
     def send_section(
         self, dest: int, tag, name: str, sections, inplace: bool = False
     ) -> None:
@@ -180,10 +154,6 @@ class NodeRuntime(NodeRuntimeBase):
             "min": lambda vs: min(vs),
         }
         return self.machine.combine(self.rank, value, ops[op])
-
-    def barrier(self) -> None:
-        self.trace.collective("barrier", 0)
-        self.machine.combine(self.rank, 0, lambda vs: 0)
 
 
 @dataclass
@@ -246,9 +216,9 @@ class Machine:
 
     # -- transport hooks (overridden by the sequential machine) -----------------
 
-    def put_message(self, src, dest, tag, indices, data) -> None:
+    def put_message(self, src, dest, tag, sections, data) -> None:
         ready_at = time.monotonic() + self.comm_latency_s
-        self.channel(src, dest).put((ready_at, tag, indices, data))
+        self.channel(src, dest).put((ready_at, tag, sections, data))
 
     def get_message(self, src, dest, tag):
         try:
@@ -280,11 +250,11 @@ class Machine:
             raise self.abandoned(
                 dest, "recv", f"receive of {tag!r} from {src}"
             )
-        ready_at, got_tag, indices, data = message
+        ready_at, got_tag, sections, data = message
         delay = ready_at - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        return got_tag, indices, data
+        return got_tag, sections, data
 
     def combine(self, rank: int, value, op):
         return self.collective.combine(rank, value, op)

@@ -1,9 +1,7 @@
 """The abstract runtime API generated node programs run against.
 
 The SPMD emitter targets exactly this surface: ``rt.send_section`` /
-``rt.recv_section`` for descriptor-based communication (per-element
-``rt.send`` / ``rt.recv`` remain for hand-written node programs),
-``rt.allreduce`` / ``rt.barrier``
+``rt.recv_section`` for descriptor-based communication, ``rt.allreduce``
 for collectives, ``rt.work`` / ``rt.check`` for cost accounting,
 ``rt.member`` for fallback set guards, and the ``env`` / ``arrays`` /
 ``lbounds`` / ``scalars`` / ``red_base`` / ``inplace`` state
@@ -12,7 +10,7 @@ subclass: the thread-simulated :class:`~repro.runtime.machine.NodeRuntime`,
 and the multiprocess worker's shared-memory implementation in
 :mod:`repro.runtime.backends.mp`.
 
-Only the four communication primitives differ between backends; state
+Only the three communication primitives differ between backends; state
 handling, tracing hooks, and guard evaluation are shared here.
 """
 
@@ -90,16 +88,6 @@ class NodeRuntimeBase(abc.ABC):
     # -- communication (backend-specific) ---------------------------------------
 
     @abc.abstractmethod
-    def send(
-        self, dest: int, tag, values, indices=None, inplace: bool = False
-    ) -> None:
-        """Buffered (non-blocking) send of ``values`` to ``dest``."""
-
-    @abc.abstractmethod
-    def recv(self, src: int, tag, inplace: bool = False):
-        """Blocking receive; returns ``(indices, values)`` from ``src``."""
-
-    @abc.abstractmethod
     def send_section(
         self, dest: int, tag, name: str, sections, inplace: bool = False
     ) -> None:
@@ -137,10 +125,6 @@ class NodeRuntimeBase(abc.ABC):
     @abc.abstractmethod
     def allreduce(self, op: str, value: float) -> float:
         """Combine ``value`` across all ranks with ``op`` in {'+','max','min'}."""
-
-    @abc.abstractmethod
-    def barrier(self) -> None:
-        """Block until every rank reaches the barrier."""
 
     # -- accounting (shared) ----------------------------------------------------
 

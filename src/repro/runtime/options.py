@@ -12,6 +12,7 @@ The receive timeout can also be set process-wide through the
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -27,7 +28,9 @@ _FALLBACK_RECV_TIMEOUT_S = 60.0
 def default_recv_timeout() -> float:
     """The blocking-receive timeout (seconds) from the environment.
 
-    Falls back to 60 s when ``REPRO_RECV_TIMEOUT_S`` is unset or invalid.
+    Falls back to 60 s when ``REPRO_RECV_TIMEOUT_S`` is unset or invalid:
+    not a number, not positive, or not finite (a blocking ``get`` cannot
+    wait forever; ``queue.get(timeout=inf)`` raises ``OverflowError``).
     """
     raw = os.environ.get(RECV_TIMEOUT_ENV)
     if raw is None:
@@ -36,7 +39,7 @@ def default_recv_timeout() -> float:
         value = float(raw)
     except ValueError:
         return _FALLBACK_RECV_TIMEOUT_S
-    return value if value > 0 else _FALLBACK_RECV_TIMEOUT_S
+    return value if 0 < value < math.inf else _FALLBACK_RECV_TIMEOUT_S
 
 
 @dataclass

@@ -270,25 +270,3 @@ def scatter_sections(array, lbounds, sections, payload) -> int:
             f"descriptor count {pos} != payload length {flat.size}"
         )
     return pos
-
-
-def own_payload(values) -> Tuple[np.ndarray, int]:
-    """Coerce legacy ``send(values, indices=...)`` payloads to an owned,
-    contiguous float64 vector.
-
-    Returns ``(payload, copied_bytes)``.  The legacy API has buffered
-    (MPI-style) send semantics — the caller may reuse its buffer as soon
-    as the call returns — so an ndarray argument is snapshotted; list or
-    iterable arguments are materialized, which is itself the one copy
-    (the old ``data = list(values)`` staging copy on top of it is gone).
-    """
-    if isinstance(values, np.ndarray):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        if arr is values:
-            arr = values.copy()
-        return arr.reshape(-1), arr.nbytes
-    arr = np.asarray(
-        values if isinstance(values, (list, tuple)) else list(values),
-        dtype=np.float64,
-    )
-    return arr.reshape(-1), arr.nbytes

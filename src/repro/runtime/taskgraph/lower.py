@@ -70,8 +70,8 @@ GENERATED_MARKER = "Generated SPMD node program"
 DEFAULT_UNROLL_CAP = 128
 MAX_SEGMENTS_PER_RANK = 4000
 
-_COMM_METHODS = {"send", "send_section", "recv", "recv_section"}
-_COLLECTIVE_METHODS = {"allreduce", "barrier"}
+_COMM_METHODS = {"send_section", "recv_section"}
+_COLLECTIVE_METHODS = {"allreduce"}
 _ACCOUNTING_METHODS = {"work", "check", "member"}
 #: module functions whose calls have an unknown footprint.
 _CALL_PREFIXES = ("proc_", "_ev_")
@@ -332,9 +332,9 @@ class _FootprintVisitor(ast.NodeVisitor):
             self.visit(arg)
         for keyword in node.keywords:
             self.visit(keyword.value)
-        if method in ("send", "send_section"):
+        if method == "send_section":
             self.info.sends += 1
-        elif method in ("recv", "recv_section"):
+        elif method == "recv_section":
             self.info.recvs += 1
         elif method in _COLLECTIVE_METHODS:
             self.info.collectives += 1

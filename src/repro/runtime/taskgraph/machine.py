@@ -92,12 +92,12 @@ class TaskMachine(Machine):
 
     # -- transport ----------------------------------------------------------
 
-    def put_message(self, src, dest, tag, indices, data) -> None:
+    def put_message(self, src, dest, tag, sections, data) -> None:
         key = (src, dest, tag, self._instance[src])
         ready_at = time.monotonic() + self.comm_latency_s
         with self._cv:
             self._boxes.setdefault(key, deque()).append(
-                (ready_at, tag, indices, data)
+                (ready_at, tag, sections, data)
             )
             self._cv.notify_all()
 
@@ -111,8 +111,8 @@ class TaskMachine(Machine):
                 if box:
                     ready_at = box[0][0]
                     if ready_at <= now:
-                        _ready, got_tag, indices, data = box.popleft()
-                        return got_tag, indices, data
+                        _ready, got_tag, sections, data = box.popleft()
+                        return got_tag, sections, data
                     wait = min(ready_at - now, deadline - now)
                 else:
                     wait = deadline - now

@@ -39,6 +39,7 @@ authentication — do not expose it beyond a trusted host).
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -52,6 +53,7 @@ from ..cache.persist import (
 )
 from ..core.driver import CompiledProgram, compile_program
 from ..isets.profile import SetOpProfiler
+from ..runtime.backends import backend_names
 from ..runtime.errors import CommunicationError, is_transient
 from ..runtime.faults import FaultPlan
 from ..runtime.harness import RetryPolicy, ValidationError, run_compiled
@@ -69,6 +71,24 @@ from .protocol import (
 from .singleflight import SingleFlight
 
 DEFAULT_PORT = 8737
+
+
+def _int_field(payload: dict, name: str, default: int, minimum: int) -> int:
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        value < minimum
+    ):
+        raise BadRequest(f"'{name}' must be an integer >= {minimum}")
+    return value
+
+
+def _backend_field(name: str, value) -> str:
+    if value not in backend_names():
+        raise BadRequest(
+            f"'{name}': unknown execution backend {value!r} "
+            f"(registered: {', '.join(backend_names())})"
+        )
+    return value
 
 
 class CompileService:
@@ -253,15 +273,8 @@ class CompileService:
         return {"ok": True, **meta}
 
     def handle_run(self, payload: dict) -> Dict[str, object]:
-        try:
-            compiled, meta = self.compile_source(
-                payload.get("source"), payload.get("options")
-            )
-        except (PoolSaturatedError, PoolDrainingError):
-            raise
-        except CommunicationError as exc:
-            self.metrics.incr("compile.failed")
-            return {"ok": False, "error": error_to_wire(exc)}
+        # Every run field is checked before the compile, so a malformed
+        # request costs nothing and is refused with a 400.
         params = payload.get("params") or {}
         if not isinstance(params, dict):
             raise BadRequest("'params' must be an object of integers")
@@ -269,11 +282,18 @@ class CompileService:
             params = {str(k): int(v) for k, v in params.items()}
         except (TypeError, ValueError):
             raise BadRequest("'params' values must be integers")
-        nprocs = int(payload.get("nprocs", 4))
-        backend = payload.get("backend") or "threads"
+        nprocs = _int_field(payload, "nprocs", 4, minimum=1)
+        backend = _backend_field(
+            "backend", payload.get("backend") or "threads"
+        )
         validate = bool(payload.get("validate", True))
-        retries = int(payload.get("retries", 0))
-        fallback = tuple(payload.get("fallback_backends") or ())
+        retries = _int_field(payload, "retries", 0, minimum=0)
+        fallback = payload.get("fallback_backends") or []
+        if not isinstance(fallback, list):
+            raise BadRequest("'fallback_backends' must be a list of backends")
+        fallback = tuple(
+            _backend_field("fallback_backends", name) for name in fallback
+        )
 
         runtime_options = RuntimeOptions(backend=backend)
         for knob in ("recv_timeout_s", "run_timeout_s"):
@@ -282,8 +302,8 @@ class CompileService:
                     value = float(payload[knob])
                 except (TypeError, ValueError):
                     raise BadRequest(f"'{knob}' must be a number")
-                if value <= 0:
-                    raise BadRequest(f"'{knob}' must be positive")
+                if not 0 < value < math.inf:
+                    raise BadRequest(f"'{knob}' must be positive and finite")
                 runtime_options = runtime_options.with_(**{knob: value})
         if payload.get("fault_spec"):
             try:
@@ -303,6 +323,16 @@ class CompileService:
             if retries or fallback
             else None
         )
+
+        try:
+            compiled, meta = self.compile_source(
+                payload.get("source"), payload.get("options")
+            )
+        except (PoolSaturatedError, PoolDrainingError):
+            raise
+        except CommunicationError as exc:
+            self.metrics.incr("compile.failed")
+            return {"ok": False, "error": error_to_wire(exc)}
 
         start = time.perf_counter()
         # The supervisor boundary: typed failures become per-request

@@ -49,6 +49,15 @@ class TestFigure5:
         )
         assert busy.is_equal(expected)
 
+    def test_busy_vp_set_of_no_statements_is_empty(self):
+        busy = busy_vp_set([], ("v1", "v2"))
+        assert busy.is_empty() and busy.dims == ("v1", "v2")
+
+    def test_busy_vp_set_takes_cp_maps(self):
+        mapping, cps, events = _gauss()
+        busy = busy_vp_set([cp.cp_map for cp in cps])
+        assert busy.is_equal(busy_vp_set(cps))
+
     def test_active_send_is_pivot_row(self):
         mapping, cps, events = _gauss()
         active = compute_active_vp_sets(events[0].event)

@@ -6,14 +6,18 @@ rank crash) are exercised on *every* backend without paying for a
 compile.
 """
 
+import inspect
 import multiprocessing
 import os
+import re
 import time
 import typing
 
 import numpy as np
 import pytest
 
+from repro import CompilerOptions, compile_program
+from repro.programs import sources
 from repro.runtime import RankCrashError, RunStatistics
 from repro.runtime.backends import (
     ExecutionBackend,
@@ -25,6 +29,7 @@ from repro.runtime.backends import (
 )
 from repro.runtime.backends.mp import shm_prefix
 from repro.runtime.machine import CommunicationError, Machine
+from repro.runtime.noderuntime import NodeRuntimeBase
 from repro.runtime.options import (
     RECV_TIMEOUT_ENV,
     RuntimeOptions,
@@ -41,11 +46,17 @@ from repro.runtime.trace import (
 BACKENDS = ("threads", "mp", "inproc-seq")
 
 
-def _spec(body: str, nprocs: int, recv_timeout_s: float = 2.0) -> LaunchSpec:
-    """A launch spec around a hand-written node program."""
+def _spec(
+    body: str, nprocs: int, recv_timeout_s: float = 2.0, size: int = 3
+) -> LaunchSpec:
+    """A launch spec around a hand-written node program.
+
+    Every rank gets a zeroed array ``a`` of ``size`` elements indexed
+    from 0, which the program moves with section sends and receives.
+    """
     source = "import numpy as np\n\n" + body
     bindings = [
-        RankBindings(rank, {}, {}, {}, ["out"], {})
+        RankBindings(rank, {}, {"a": (size,)}, {"a": (0,)}, ["out"], {})
         for rank in range(nprocs)
     ]
     options = RuntimeOptions(
@@ -86,14 +97,17 @@ class TestRegistry:
 
 ROUNDTRIP = """
 def node_main(rt):
+    a = rt.arrays["a"]
     if rt.rank == 0:
-        rt.send(1, "t", [1.0, 2.0], indices=[(1,), (2,)])
-        idx, vals = rt.recv(1, "u")
-        rt.scalars["out"] = vals[0]
+        a[1:3] = [1.0, 2.0]
+        rt.send_section(1, "t", "a", [("S", ((1, 2, 1),))])
+        rt.recv_section(1, "u", "a", count=1)
+        rt.scalars["out"] = a[0]
     elif rt.rank == 1:
-        idx, vals = rt.recv(0, "t")
-        rt.send(0, "u", [vals[0] + vals[1]], indices=[(0,)])
-        rt.scalars["out"] = vals[1]
+        rt.recv_section(0, "t", "a", count=2)
+        a[0] = a[1] + a[2]
+        rt.send_section(0, "u", "a", [("S", ((0, 1, 1),))])
+        rt.scalars["out"] = a[2]
     rt.work(3)
 """
 
@@ -101,28 +115,28 @@ ALLREDUCE = """
 def node_main(rt):
     rt.scalars["out"] = rt.allreduce("+", float(rt.rank + 1))
     rt.scalars["out"] += rt.allreduce("max", float(rt.rank))
-    rt.barrier()
+    rt.allreduce("+", 0.0)
 """
 
 TAG_MISMATCH = """
 def node_main(rt):
     if rt.rank == 0:
-        rt.send(1, "a", [1.0])
+        rt.send_section(1, "a", "a", [("S", ((0, 1, 1),))])
     else:
-        rt.recv(0, "b")
+        rt.recv_section(0, "b", "a")
 """
 
 DEADLOCK = """
 def node_main(rt):
     if rt.rank == 1:
-        rt.recv(0, "never")
+        rt.recv_section(0, "never", "a")
 """
 
 CRASH = """
 def node_main(rt):
     if rt.rank == 1:
         raise ValueError("boom")
-    rt.recv(1, "never-sent")
+    rt.recv_section(1, "never-sent", "a")
 """
 
 
@@ -166,12 +180,14 @@ LAUNCHES = 0
 
 def node_main(rt):
     global LAUNCHES
+    a = rt.arrays["a"]
     if rt.rank == 0:
         LAUNCHES += 1
-        rt.send(1, "x", [0.1 * (k + 1) for k in range(4)])
+        a[:] = [0.1 * (k + 1) for k in range(4)]
+        rt.send_section(1, "x", "a", [("S", ((1, 4, 1),))])
     else:
-        _, vals = rt.recv(0, "x")  # ordered after rank 0's write
-        rt.arrays["a"][:] = np.asarray(vals) / 3.0
+        rt.recv_section(0, "x", "a", count=4)  # ordered after rank 0's write
+        a /= 3.0
     rt.scalars["out"] = float(LAUNCHES)
 """
 
@@ -248,35 +264,39 @@ class TestMpTransport:
         big = """
 def node_main(rt):
     n = 200000
+    a = rt.arrays["a"]
     if rt.rank == 0:
-        rt.send(1, "big", [float(i) for i in range(n)])
+        a[:] = np.arange(n, dtype=np.float64)
+        rt.send_section(1, "big", "a", [("S", ((0, n, 1),))])
     else:
-        _, vals = rt.recv(0, "big")
-        rt.scalars["out"] = vals[-1]
+        rt.recv_section(0, "big", "a", count=n)
+        rt.scalars["out"] = a[-1]
 """
-        launch = get_backend("mp").launch(_spec(big, 2))
+        launch = get_backend("mp").launch(_spec(big, 2, size=200000))
         assert launch.results[1].scalars["out"] == 199999.0
 
     def test_many_small_messages_reuse_ring(self):
         chatty = """
 def node_main(rt):
     other = 1 - rt.rank
+    a = rt.arrays["a"]
     total = 0.0
     for i in range(300):
-        rt.send(other, ("m", i), [float(i)] * 64)
-        _, vals = rt.recv(other, ("m", i))
-        total += vals[0]
+        lo = 64 * rt.rank
+        a[lo : lo + 64] = float(i)
+        rt.send_section(other, ("m", i), "a", [("S", ((lo, 64, 1),))])
+        rt.recv_section(other, ("m", i), "a", count=64)
+        total += a[64 * other]
     rt.scalars["out"] = total
 """
-        launch = get_backend("mp").launch(_spec(chatty, 2))
+        launch = get_backend("mp").launch(_spec(chatty, 2, size=128))
         assert launch.results[0].scalars["out"] == sum(range(300))
 
     def test_per_event_timings_recorded(self):
         launch = get_backend("mp").launch(_spec(ROUNDTRIP, 2))
         timing = launch.timings[0]
-        assert timing.comm_wall_s > 0.0
-        # one send + one recv = two timed communication events
-        assert len(timing.per_event_s) == 2
+        # the send and the receive are timed inside the rank's wall-clock
+        assert 0.0 < timing.comm_wall_s <= timing.wall_s
 
 
 class TestRecvTimeoutConfig:
@@ -291,6 +311,8 @@ class TestRecvTimeoutConfig:
         monkeypatch.setenv(RECV_TIMEOUT_ENV, "not-a-number")
         assert default_recv_timeout() == 60.0
         monkeypatch.setenv(RECV_TIMEOUT_ENV, "-1")
+        assert default_recv_timeout() == 60.0
+        monkeypatch.setenv(RECV_TIMEOUT_ENV, "inf")  # no wait is endless
         assert default_recv_timeout() == 60.0
 
     def test_explicit_machine_timeout_wins(self, monkeypatch):
@@ -319,3 +341,32 @@ class TestTraceTypes:
         assert members == {
             ComputeEvent, SendEvent, RecvEvent, CollectiveEvent,
         }
+
+
+def test_runtime_surface_is_the_emitted_surface():
+    """The public methods of :class:`NodeRuntimeBase` are exactly the
+    ``rt.*`` calls codegen emits for the benchmark programs, under
+    both buffer modes: no backend implements a call nothing makes."""
+    emitted = set()
+    for _name, program in inspect.getmembers(sources, inspect.isfunction):
+        if program.__module__ != sources.__name__:
+            continue
+        for options in (
+            CompilerOptions(), CompilerOptions(buffer_mode="direct"),
+        ):
+            node_source = compile_program(program(), options).source
+            emitted |= set(re.findall(r"\brt\.(\w+)\(", node_source))
+    public = {
+        name
+        for name, _fn in inspect.getmembers(
+            NodeRuntimeBase, inspect.isfunction
+        )
+        if not name.startswith("_")
+    }
+    assert emitted == public == {
+        "send_section", "recv_section", "allreduce",
+        "work", "check", "member",
+    }
+    assert NodeRuntimeBase.__abstractmethods__ == {
+        "send_section", "recv_section", "allreduce",
+    }

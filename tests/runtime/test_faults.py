@@ -43,21 +43,24 @@ BACKENDS = ("threads", "mp", "inproc-seq")
 
 ROUNDTRIP = """
 def node_main(rt):
+    a = rt.arrays["a"]
     if rt.rank == 0:
-        rt.send(1, "t", [1.0, 2.0], indices=[(1,), (2,)])
-        idx, vals = rt.recv(1, "u")
-        rt.scalars["out"] = vals[0]
+        a[1:3] = [1.0, 2.0]
+        rt.send_section(1, "t", "a", [("S", ((1, 2, 1),))])
+        rt.recv_section(1, "u", "a", count=1)
+        rt.scalars["out"] = a[0]
     elif rt.rank == 1:
-        idx, vals = rt.recv(0, "t")
-        rt.send(0, "u", [vals[0] + vals[1]], indices=[(0,)])
-        rt.scalars["out"] = vals[1]
+        rt.recv_section(0, "t", "a", count=2)
+        a[0] = a[1] + a[2]
+        rt.send_section(0, "u", "a", [("S", ((0, 1, 1),))])
+        rt.scalars["out"] = a[2]
     rt.work(3)
 """
 
 DEADLOCK = """
 def node_main(rt):
     if rt.rank == 1:
-        rt.recv(0, "never")
+        rt.recv_section(0, "never", "a")
 """
 
 SLOW_RANK = """
@@ -76,9 +79,10 @@ def _spec(
     recv_timeout_s=1.0,
     run_timeout_s=30.0,
 ):
+    # Every rank gets a zeroed array ``a`` of 3 elements indexed from 0.
     source = "import numpy as np\n\n" + body
     bindings = [
-        RankBindings(rank, {}, {}, {}, ["out"], {})
+        RankBindings(rank, {}, {"a": (3,)}, {"a": (0,)}, ["out"], {})
         for rank in range(nprocs)
     ]
     options = RuntimeOptions(
@@ -249,16 +253,19 @@ MATRIX = [
 
 COLLECTIVE_TAIL = """
 def node_main(rt):
+    a = rt.arrays["a"]
     if rt.rank == 0:
-        rt.send(1, "t", [1.0, 2.0], indices=[(1,), (2,)])
-        idx, vals = rt.recv(1, "u")
-        rt.scalars["out"] = vals[0]
+        a[1:3] = [1.0, 2.0]
+        rt.send_section(1, "t", "a", [("S", ((1, 2, 1),))])
+        rt.recv_section(1, "u", "a", count=1)
+        rt.scalars["out"] = a[0]
     elif rt.rank == 1:
-        idx, vals = rt.recv(0, "t")
-        rt.send(0, "u", [vals[0] + vals[1]], indices=[(0,)])
-        rt.scalars["out"] = vals[1]
+        rt.recv_section(0, "t", "a", count=2)
+        a[0] = a[1] + a[2]
+        rt.send_section(0, "u", "a", [("S", ((0, 1, 1),))])
+        rt.scalars["out"] = a[2]
     rt.work(3)
-    rt.barrier()
+    rt.allreduce("+", 0.0)
 """
 
 
@@ -437,6 +444,11 @@ class TestRetryPolicy:
             a.backoff_s(k) != c.backoff_s(k) for k in range(4)
         )
 
+    def test_zero_budget_is_refused(self):
+        # a policy that allows no launch has no outcome to report
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=0)
+
 
 class TestSupervision:
     def _policy(self, max_attempts):
@@ -478,9 +490,9 @@ class TestSupervision:
         tag_mismatch = """
 def node_main(rt):
     if rt.rank == 0:
-        rt.send(1, "a", [1.0])
+        rt.send_section(1, "a", "a", [("S", ((0, 1, 1),))])
     else:
-        rt.recv(0, "b")
+        rt.recv_section(0, "b", "a")
 """
         spec = _spec(tag_mismatch, 2)
         with pytest.raises(CommunicationError) as info:

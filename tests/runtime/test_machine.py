@@ -10,24 +10,32 @@ from repro.runtime.machine import (
 )
 
 
-def _make_runtime_factory(scalars=None):
+def _make_runtime_factory(scalars=None, size=0):
+    """Each rank gets a zeroed array ``a`` of ``size`` elements."""
     def make(rank, machine):
         return NodeRuntime(
-            machine, rank, {"rank": rank}, {}, {}, dict(scalars or {})
+            machine, rank, {"rank": rank}, {"a": np.zeros(size)},
+            {"a": (0,)}, dict(scalars or {}),
         )
     return make
 
 
+def _span(lo, count):
+    """One strided section of ``a``: ``count`` elements from ``lo``."""
+    return [("S", ((lo, count, 1),))]
+
+
 def test_point_to_point_roundtrip():
     def node(rt):
+        a = rt.arrays["a"]
         if rt.rank == 0:
-            rt.send(1, "t", [1.0, 2.0], indices=[(1,), (2,)])
+            a[1:3] = [1.0, 2.0]
+            rt.send_section(1, "t", "a", _span(1, 2))
         else:
-            idx, vals = rt.recv(0, "t")
-            assert idx == [(1,), (2,)]
-            assert list(vals) == [1.0, 2.0]
+            rt.recv_section(0, "t", "a", count=2)
+            assert list(a) == [0.0, 1.0, 2.0]
 
-    Machine(2).run(node, _make_runtime_factory())
+    Machine(2).run(node, _make_runtime_factory(size=3))
 
 
 def test_allreduce_ops():
@@ -45,22 +53,23 @@ def test_allreduce_ops():
 def test_exchange_does_not_deadlock():
     def node(rt):
         other = 1 - rt.rank
-        rt.send(other, "x", [float(rt.rank)])
-        _, vals = rt.recv(other, "x")
-        assert list(vals) == [float(other)]
+        rt.arrays["a"][rt.rank] = float(rt.rank)
+        rt.send_section(other, "x", "a", _span(rt.rank, 1))
+        rt.recv_section(other, "x", "a", count=1)
+        assert rt.arrays["a"][other] == float(other)
 
-    Machine(2).run(node, _make_runtime_factory())
+    Machine(2).run(node, _make_runtime_factory(size=2))
 
 
 def test_tag_mismatch_detected():
     def node(rt):
         if rt.rank == 0:
-            rt.send(1, "a", [1.0])
+            rt.send_section(1, "a", "a", _span(0, 1))
         else:
-            rt.recv(0, "b")
+            rt.recv_section(0, "b", "a")
 
     with pytest.raises(CommunicationError):
-        Machine(2).run(node, _make_runtime_factory())
+        Machine(2).run(node, _make_runtime_factory(size=1))
 
 
 def test_rank_exception_surfaces():
@@ -77,11 +86,11 @@ def test_traces_recorded():
     def node(rt):
         rt.work(42)
         if rt.rank == 0:
-            rt.send(1, "t", [1.0] * 10)
+            rt.send_section(1, "t", "a", _span(0, 10))
         else:
-            rt.recv(0, "t")
+            rt.recv_section(0, "t", "a", count=10)
 
-    results = Machine(2).run(node, _make_runtime_factory())
+    results = Machine(2).run(node, _make_runtime_factory(size=10))
     assert results[0].trace.compute_units == 42
     assert results[0].trace.messages_sent == 1
     assert results[0].trace.bytes_sent == 80

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.runtime.sections import (
     disjoint_sections,
     message_count,
-    own_payload,
     pack_sections,
     scatter_sections,
     section_count,
@@ -139,26 +138,6 @@ class TestErrors:
                 dst, (0,), [("S", ((4, 8, 1),))],
                 np.zeros(8, dtype=np.float64),
             )
-
-
-class TestOwnPayload:
-    def test_list_is_materialized_once(self):
-        payload, copied = own_payload([1.0, 2.0, 3.0])
-        assert isinstance(payload, np.ndarray)
-        assert payload.dtype == np.float64
-        assert copied == 24
-
-    def test_ndarray_is_snapshotted(self):
-        values = np.arange(4, dtype=np.float64)
-        payload, copied = own_payload(values)
-        assert not np.shares_memory(payload, values)
-        values[:] = 0.0
-        np.testing.assert_array_equal(payload, [0.0, 1.0, 2.0, 3.0])
-        assert copied == 32
-
-    def test_generator_accepted(self):
-        payload, _ = own_payload(float(i) for i in range(3))
-        np.testing.assert_array_equal(payload, [0.0, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ class TestPlanConstruction:
 
     def test_dep_hints_drop_compute_compute_edges(self):
         # Hand-written generated-marker fixture: two plain statements
-        # conflicting *only* through array 'a', kept apart by a barrier
+        # conflicting *only* through array 'a', kept apart by a collective
         # (plain runs merge, so adjacent statements cannot show this).
         fixture = (
             '"""Generated SPMD node program (hand-written fixture)."""\n'
@@ -295,7 +295,7 @@ class TestPlanConstruction:
             "def proc_main(rt):\n"
             '    a = rt.arrays["a"]\n'
             "    a[0] = 1.0\n"
-            "    rt.barrier()\n"
+            "    rt.allreduce('+', 0.0)\n"
             "    a[1] = a[0] + 1.0\n"
             "\n"
             "def node_main(rt):\n"
@@ -482,23 +482,27 @@ class TestExecution:
 
 ROUNDTRIP = """
 def node_main(rt):
+    a = rt.arrays["a"]
     if rt.rank == 0:
-        rt.send(1, "t", [1.0, 2.0], indices=[(1,), (2,)])
-        idx, vals = rt.recv(1, "u")
-        rt.scalars["out"] = vals[0]
+        a[1:3] = [1.0, 2.0]
+        rt.send_section(1, "t", "a", [("S", ((1, 2, 1),))])
+        rt.recv_section(1, "u", "a", count=1)
+        rt.scalars["out"] = a[0]
     elif rt.rank == 1:
-        idx, vals = rt.recv(0, "t")
-        rt.send(0, "u", [vals[0] + vals[1]], indices=[(0,)])
-        rt.scalars["out"] = vals[1]
+        rt.recv_section(0, "t", "a", count=2)
+        a[0] = a[1] + a[2]
+        rt.send_section(0, "u", "a", [("S", ((0, 1, 1),))])
+        rt.scalars["out"] = a[2]
     rt.work(3)
-    rt.barrier()
+    rt.allreduce("+", 0.0)
 """
 
 
 def _raw_spec(body, nprocs, plan=None):
+    # Every rank gets a zeroed array ``a`` of 3 elements indexed from 0.
     source = "import numpy as np\n\n" + body
     bindings = [
-        RankBindings(rank, {}, {}, {}, ["out"], {})
+        RankBindings(rank, {}, {"a": (3,)}, {"a": (0,)}, ["out"], {})
         for rank in range(nprocs)
     ]
     options = RuntimeOptions(

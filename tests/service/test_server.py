@@ -169,6 +169,17 @@ def test_bad_requests_are_400(client):
     assert empty["ok"] is False
     missing = client.request("GET", "/nowhere")
     assert missing["ok"] is False and missing["error"]["type"] == "NotFound"
+    # A malformed /run field is refused by name before anything runs.
+    run = {"source": PROGRAM, "params": {"n": 8}, "nprocs": 2}
+    for field, value in (("nprocs", "four"), ("retries", "x"),
+                         ("retries", -1), ("fallback_backends", "mp"),
+                         ("recv_timeout_s", float("inf"))):
+        response = client.request("POST", "/run", payload={
+            **run, field: value,
+        })
+        assert response["ok"] is False, field
+        assert response["error"]["type"] == "BadRequest", field
+        assert field in response["error"]["message"], field
 
 
 def test_removed_option_is_a_400_not_a_silent_default(server):
